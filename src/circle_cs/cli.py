@@ -9,13 +9,12 @@ Four subcommands:
 
 Every command writes CSV by default (--format json switches); floats are
 printed with 17 significant digits, and repeated runs with the same
-arguments produce byte-identical output.  CIRCLE_CS_THREADS caps the worker
-pool used for the overlap and observables sweeps (unset: sequential,
-0: one worker per CPU); results are assembled in input order, so the
-thread count never changes the bytes.
+arguments produce byte-identical output.  A value of --m, --alpha or
+--beta may start with a minus sign ('--m -3:3').
 
 Exit codes: 0 success, 2 bad arguments or domain validation, 3 adaptive
-integration could not reach tolerance, 4 output could not be written.
+integration (overlap, observables) could not reach tolerance, 4 output
+could not be written.
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ from __future__ import annotations
 import argparse
 import io
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,6 +43,7 @@ from .states import (
     StateLabel,
     _amplitudes,
     sample_state,
+    wrap_angle,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -53,31 +51,6 @@ _TWO_PI = 2.0 * math.pi
 
 def _g(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CIRCLE_CS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"CIRCLE_CS_THREADS must be a nonnegative integer, got {raw!r}")
-    if value < 0:
-        raise DomainError(f"CIRCLE_CS_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
-def _pool_map(fn, items):
-    """map() preserving input order, threaded when configured."""
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _make_spec(args) -> QuadratureSpec:
@@ -156,14 +129,15 @@ def _cmd_overlap(args) -> str:
         raise DomainError(f"--dn-max must be in 0..16, got {args.dn_max}")
     spec = _make_spec(args)
     a = StateLabel(0, args.alpha)
+    beta = wrap_angle(args.beta)
 
     def row(dn: int):
-        b = StateLabel(dn, args.beta)
+        b = StateLabel(dn, beta)
         ana = overlap(a, b)
         quad = overlap_quadrature(a, b, spec)
         return (dn, ana, quad)
 
-    rows = _pool_map(row, range(-args.dn_max, args.dn_max + 1))
+    rows = [row(dn) for dn in range(-args.dn_max, args.dn_max + 1)]
 
     if args.format == "csv":
         lines = [
@@ -173,7 +147,7 @@ def _cmd_overlap(args) -> str:
         for dn, ana, quad in rows:
             diff = abs(ana.value - quad.value)
             lines.append(
-                f"{_g(a.alpha)},{_g(args.beta)},{dn},"
+                f"{_g(a.alpha)},{_g(beta)},{dn},"
                 f"{_g(ana.value.real)},{_g(ana.value.imag)},{_g(abs(ana.value))},"
                 f"{_g(quad.value.real)},{_g(quad.value.imag)},{_g(abs(quad.value))},"
                 f"{_g(diff)},{ana.method},{_g(quad.err_est)}"
@@ -194,7 +168,7 @@ def _cmd_overlap(args) -> str:
         )
     return (
         "{"
-        f'"alpha": {_g(a.alpha)}, "beta": {_g(args.beta)}, '
+        f'"alpha": {_g(a.alpha)}, "beta": {_g(beta)}, '
         '"rows": [' + ", ".join(objs) + "]"
         "}\n"
     )
@@ -204,10 +178,8 @@ def _cmd_observables(args) -> str:
     ms = _parse_int_sweep(args.m)
     alphas = _parse_float_sweep(args.alpha)
     spec = _make_spec(args)
-    cells = [(m, alpha) for m in ms for alpha in alphas]
 
-    def row(cell):
-        m, alpha = cell
+    def row(m: int, alpha: float):
         label = StateLabel(m, alpha)
         q = expectation_Q(label)
         return (
@@ -220,7 +192,7 @@ def _cmd_observables(args) -> str:
             q - label.alpha,
         )
 
-    rows = _pool_map(row, cells)
+    rows = [row(m, alpha) for m in ms for alpha in alphas]
 
     if args.format == "csv":
         lines = ["m,alpha,q_mean,q_mean_oracle,p_mean,p2_mean,dispersion,q_dev"]
@@ -278,7 +250,7 @@ def _cmd_resolution(args) -> str:
     if args.k_max < 0:
         raise DomainError(f"--k-max must be >= 0, got {args.k_max}")
     eta = _build_vector(args.vector, args.grid)
-    report = resolution_check(eta, args.k_max, _make_spec(args))
+    report = resolution_check(eta, args.k_max)
     if args.format == "json":
         return report.to_json() + "\n"
     lines = ["k,term,estimate"]
@@ -303,6 +275,9 @@ def _add_common(sub) -> None:
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
     sub.add_argument("--out", default=None, help="write output to this path")
+
+
+def _add_tolerances(sub) -> None:
     sub.add_argument(
         "--abs-tol", type=float, default=None, help="quadrature absolute tolerance"
     )
@@ -336,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="winding difference sweep half-width (0..16)",
     )
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(handler=_cmd_overlap)
 
     p = subs.add_parser("observables", help="moment table over label sweeps")
@@ -348,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="angle sweep: 'x', 'x,y,z', or 'start:stop:count'",
     )
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(handler=_cmd_observables)
 
     p = subs.add_parser("resolution", help="resolution-of-unity defect report")
@@ -364,8 +341,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token such as '-3:3' as an option, not as the value of
+# the option before it; these options take such values.
+_SIGNED_OPTIONS = ("--m", "--alpha", "--beta")
+_SIGNED_VALUE = re.compile(r"-\d")
+
+
+def _attach_signed_values(argv: list) -> list:
+    """Rewrite '--m -3:3' as '--m=-3:3', which argparse parses as written."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_signed_values(argv))
     try:
         text = args.handler(args)
     except DomainError as exc:

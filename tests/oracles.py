@@ -61,3 +61,22 @@ def overlap_reference(m: int, alpha: float, n: int, beta: float, dps: int = 40) 
         points = [-mp.pi, *interior, mp.pi]
         val = a_const**2 * mp.quad(f, points)
         return complex(val)
+
+
+def window_coefficient_reference(p: int, dps: int = 50) -> float:
+    """ghat_p = (1/2pi) int_{-pi}^{pi} e^{-w^2/2} cos(p w) dw by mpmath quadrature.
+
+    The integrand is even, so this integrates [0, pi] and halves the
+    prefactor, with one panel per half period of cos(p w) so every panel
+    sees at most one sign change; the integrand is entire, so Gauss-Legendre
+    converges on each panel.
+    """
+    p = abs(int(p))
+    with mp.workdps(dps):
+        points = [mp.pi * j / max(p, 1) for j in range(max(p, 1) + 1)]
+        val = mp.quad(
+            lambda w: mp.e ** (-(w * w) / 2) * mp.cos(p * w),
+            points,
+            method="gauss-legendre",
+        )
+        return float(val / mp.pi)

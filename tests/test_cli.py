@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import circle_cs
+
 PI = math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -18,6 +23,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         timeout=300,
     )
 
@@ -75,6 +81,23 @@ def test_overlap_self_row():
     fields = proc.stdout.strip().split("\n")[1].split(",")
     assert float(fields[3]) == 1.0  # re_analytic of the self overlap
     assert float(fields[5]) == 1.0
+
+
+def test_overlap_prints_wrapped_beta():
+    row = run_cli("overlap", "--beta", "4", "--dn-max", "0").stdout.split("\n")[1]
+    assert row.split(",")[1] == format(4 - 2 * PI, ".17g")
+    doc = json.loads(run_cli("overlap", "--beta", "4", "--dn-max", "0", "--format", "json").stdout)
+    assert doc["beta"] == 4 - 2 * PI
+
+
+def test_signed_option_values():
+    proc = run_cli("observables", "--m", "-1", "--alpha", "-1:0:3")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.strip().split("\n")[1:]]
+    assert [(r[0], float(r[1])) for r in rows] == [("-1", -1.0), ("-1", -0.5), ("-1", 0.0)]
+    proc = run_cli("overlap", "--beta", "-1e-3", "--dn-max", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[1].split(",")[1] == "-0.001"
 
 
 def test_overlap_json():
@@ -148,10 +171,7 @@ def test_out_file(tmp_path):
 def test_determinism_and_thread_invariance():
     base = run_cli("overlap", "--beta", "0.7", "--dn-max", "4")
     again = run_cli("overlap", "--beta", "0.7", "--dn-max", "4")
-    threaded = run_cli(
-        "overlap", "--beta", "0.7", "--dn-max", "4", env_extra={"CIRCLE_CS_THREADS": "4"}
-    )
-    assert base.stdout == again.stdout == threaded.stdout
+    assert base.stdout == again.stdout
     res1 = run_cli("resolution", "--k-max", "4", "--format", "json")
     res2 = run_cli("resolution", "--k-max", "4", "--format", "json")
     assert res1.stdout == res2.stdout
@@ -169,17 +189,14 @@ def test_determinism_and_thread_invariance():
         ("resolution", "--vector", "mystery"),
         ("resolution", "--k-max", "2", "--grid", "512"),
         ("nonsense",),
+        ("eval", "--abs-tol", "1e-9"),
+        ("resolution", "--rel-tol", "1e-9"),
     ],
 )
 def test_argument_failures_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-
-
-def test_bad_threads_exit_2():
-    proc = run_cli("overlap", "--dn-max", "1", env_extra={"CIRCLE_CS_THREADS": "lots"})
-    assert proc.returncode == 2
 
 
 def test_unreachable_tolerance_exit_3():
@@ -194,3 +211,19 @@ def test_unreachable_tolerance_exit_3():
 def test_unwritable_output_exit_4(tmp_path):
     proc = run_cli("eval", "--grid", "16", "--out", str(tmp_path / "no" / "dir" / "x.csv"))
     assert proc.returncode == 4
+
+
+def _readme_cli_commands():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("circle-cs ")]
+
+
+def test_readme_cli_commands_run_verbatim(tmp_path):
+    src = str(Path(circle_cs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    commands = _readme_cli_commands()
+    assert commands
+    for command in commands:
+        proc = run_cli(*shlex.split(command)[1:], env_extra={"PYTHONPATH": path}, cwd=tmp_path)
+        assert proc.returncode == 0, (command, proc.stderr)

@@ -17,11 +17,19 @@ from circle_cs import (
     expectation_P_quadrature,
     expectation_Q,
     expectation_Q_quadrature,
+    integrate,
     momentum_dispersion,
     normalization_constant,
     resolution_check,
     sample_state,
 )
+from circle_cs.cli import _build_vector
+from circle_cs.observables import (
+    _kink_coefficients,
+    _kink_expansion,
+    _window_coefficients,
+)
+from oracles import window_coefficient_reference
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -213,14 +221,67 @@ def test_resolution_displaced_state():
     assert report.defect <= 1e-6
 
 
-def test_resolution_respects_spec_tolerances():
-    eta = sample_state(StateLabel(0, 0.0), 4096)
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
-    report = resolution_check(eta, 5, spec)
-    assert report.abs_tol == 1e-9
-    assert report.rel_tol == 1e-9
-    baseline = resolution_check(eta, 5)
-    assert abs(report.estimate - baseline.estimate) <= 1e-6
+def test_window_coefficients_against_direct_integration():
+    # resolution_check rests on |ghat_p|^2: near the peak against 50-digit
+    # quadrature, far out against the expansion the kink's jumps fix
+    p_max = 2200
+    ghat = _window_coefficients(p_max)
+    for p in (0, 1, 2, 7, 28, 29, 60, 120):
+        ref = window_coefficient_reference(p)
+        for got in (ghat[p_max + p], ghat[p_max - p]):
+            assert abs(got - ref) <= 4e-15 * abs(ref), (p, got, ref)
+    p = np.arange(300, p_max + 1)
+    ref = _kink_coefficients(p, _kink_expansion())
+    for got in (ghat[p_max + p], ghat[p_max - p]):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
+
+
+def _adaptive_resolution_terms(eta, k_max):
+    """The per-k integrals of |<k,alpha|eta>|^2 over alpha, by adaptive quadrature.
+
+    The projection's convolution form 2 pi A sum_q ghat_{k-q} a_q e^{iq alpha}
+    is evaluated for every k at each Gauss-Kronrod abscissa (one
+    matrix-vector product, cached across the k integrals) and its squared
+    modulus integrated over one period, with no use of Parseval.
+    """
+    n = eta.n_grid
+    q = np.arange(-(n // 2), n - n // 2)
+    a_q = np.where(q % 2 == 0, 1.0, -1.0) * np.fft.fft(eta.amplitudes)[q % n] / n
+    p_max = k_max + n // 2 + 1
+    ks = np.arange(-k_max, k_max + 1)
+    gather = _window_coefficients(p_max)[ks[:, None] - q[None, :] + p_max]
+    scale = (TWO_PI * normalization_constant()) ** 2
+    cache = {}
+
+    def terms_at(alpha):
+        if alpha not in cache:
+            proj = gather @ (a_q * np.exp(1j * q * alpha))
+            cache[alpha] = scale * (proj.real**2 + proj.imag**2)
+        return cache[alpha]
+
+    terms = []
+    for i in range(ks.size):
+
+        def f(alpha, i=i):
+            return np.array([terms_at(float(x))[i] for x in alpha])
+
+        value, _ = integrate(f, -PI, PI, QuadratureSpec())
+        terms.append(value.real)
+    return terms
+
+
+def test_resolution_terms_match_adaptive_alpha_integration():
+    vectors = {
+        "vacuum": sample_state(StateLabel(0, 0.0), 4096),
+        "two_peak": _build_vector("two_peak", 4096),
+        "displaced": sample_state(StateLabel(4, 1.0), 4096),
+    }
+    for name, eta in vectors.items():
+        for k_max in (5, 30):
+            got = resolution_check(eta, k_max).per_k_terms
+            ref = _adaptive_resolution_terms(eta, k_max)
+            err = max(abs(a - b) for a, b in zip(got, ref))
+            assert err <= 1e-12, (name, k_max, err)
 
 
 def test_resolution_validation():
@@ -240,7 +301,6 @@ def test_report_json_round_trips():
     assert doc["estimate"] == report.estimate
     assert doc["defect"] == report.defect
     assert doc["per_k_terms"] == list(report.per_k_terms)
-    assert doc["abs_tol"] == report.abs_tol
     assert len(doc["convergence"]) == 4
     # cumulative sums run center-outward, the estimate in label order;
     # identical up to addition reordering
@@ -254,8 +314,6 @@ def test_report_invariants_enforced():
             estimate=1.0,
             defect=abs(1.0 - TWO_PI),
             per_k_terms=(0.5,),  # wrong length
-            abs_tol=1e-12,
-            rel_tol=1e-12,
         )
     with pytest.raises(DomainError):
         ResolutionReport(
@@ -263,8 +321,6 @@ def test_report_invariants_enforced():
             estimate=1.0,
             defect=abs(1.0 - TWO_PI),
             per_k_terms=(-1.0,),
-            abs_tol=1e-12,
-            rel_tol=1e-12,
         )
     with pytest.raises(DomainError):
         ResolutionReport(
@@ -272,6 +328,4 @@ def test_report_invariants_enforced():
             estimate=1.0,
             defect=0.123,
             per_k_terms=(1.0,),
-            abs_tol=1e-12,
-            rel_tol=1e-12,
         )
