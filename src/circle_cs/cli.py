@@ -7,9 +7,10 @@ Four subcommands:
   observables  moment table over sweeps of m and alpha
   resolution   truncated resolution-of-unity check on a test vector
 
-Every command writes CSV by default (--format json switches); floats are
-printed with 17 significant digits, and repeated runs with the same
-arguments produce byte-identical output.  A value of --m, --alpha or
+Every command writes CSV by default (--format json switches); each handler
+builds its rows or its document and hands them to tables.py, which owns
+the format (floats with 17 significant digits).  Repeated runs with the
+same arguments produce byte-identical output.  A value of --m, --alpha or
 --beta may start with a minus sign ('--m -3:3').
 
 Exit codes: 0 success, 2 bad arguments or domain validation, 3 adaptive
@@ -20,8 +21,6 @@ could not be written.
 from __future__ import annotations
 
 import argparse
-import io
-import math
 import re
 import sys
 
@@ -38,19 +37,8 @@ from .observables import (
 )
 from .overlaps import overlap, overlap_quadrature
 from .quadrature import QuadratureSpec
-from .states import (
-    SampledWaveFunction,
-    StateLabel,
-    _amplitudes,
-    sample_state,
-    wrap_angle,
-)
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
+from .states import StateLabel, named_vector, sample_state, wrap_angle
+from .tables import to_csv, to_json
 
 
 def _make_spec(args) -> QuadratureSpec:
@@ -109,19 +97,20 @@ def _parse_float_sweep(text: str) -> list:
 
 def _cmd_eval(args) -> str:
     psi = sample_state(StateLabel(args.m, args.alpha), args.grid)
+    columns = {
+        "phi": psi.grid().tolist(),
+        "re": psi.amplitudes.real.tolist(),
+        "im": psi.amplitudes.imag.tolist(),
+    }
     if args.format == "csv":
-        buf = io.StringIO()
-        psi.to_csv(buf)
-        return buf.getvalue()
-    grid = psi.grid()
-    return (
-        "{"
-        f'"n_grid": {psi.n_grid}, '
-        '"phi": [' + ", ".join(_g(p) for p in grid) + "], "
-        '"re": [' + ", ".join(_g(z.real) for z in psi.amplitudes) + "], "
-        '"im": [' + ", ".join(_g(z.imag) for z in psi.amplitudes) + "]"
-        "}\n"
-    )
+        return to_csv([tuple(columns), *zip(*columns.values())])
+    return to_json({"n_grid": psi.n_grid, **columns}) + "\n"
+
+
+_OVERLAP_COLUMNS = (
+    "alpha", "beta", "dn", "re_analytic", "im_analytic", "abs_analytic",
+    "re_quadrature", "im_quadrature", "abs_quadrature", "abs_diff", "method", "err_est",
+)
 
 
 def _cmd_overlap(args) -> str:
@@ -133,45 +122,32 @@ def _cmd_overlap(args) -> str:
 
     def row(dn: int):
         b = StateLabel(dn, beta)
-        ana = overlap(a, b)
-        quad = overlap_quadrature(a, b, spec)
-        return (dn, ana, quad)
+        return dn, overlap(a, b), overlap_quadrature(a, b, spec)
 
     rows = [row(dn) for dn in range(-args.dn_max, args.dn_max + 1)]
-
     if args.format == "csv":
-        lines = [
-            "alpha,beta,dn,re_analytic,im_analytic,abs_analytic,"
-            "re_quadrature,im_quadrature,abs_quadrature,abs_diff,method,err_est"
-        ]
-        for dn, ana, quad in rows:
-            diff = abs(ana.value - quad.value)
-            lines.append(
-                f"{_g(a.alpha)},{_g(beta)},{dn},"
-                f"{_g(ana.value.real)},{_g(ana.value.imag)},{_g(abs(ana.value))},"
-                f"{_g(quad.value.real)},{_g(quad.value.imag)},{_g(abs(quad.value))},"
-                f"{_g(diff)},{ana.method},{_g(quad.err_est)}"
-            )
-        return "\n".join(lines) + "\n"
+        return to_csv([_OVERLAP_COLUMNS, *(
+            (a.alpha, beta, dn, ana.value.real, ana.value.imag, abs(ana.value),
+             quad.value.real, quad.value.imag, abs(quad.value),
+             abs(ana.value - quad.value), ana.method, quad.err_est)
+            for dn, ana, quad in rows
+        )])
+    return to_json({"alpha": a.alpha, "beta": beta, "rows": [
+        {
+            "dn": dn,
+            "analytic": {"re": ana.value.real, "im": ana.value.imag,
+                         "method": ana.method, "err_est": ana.err_est},
+            "quadrature": {"re": quad.value.real, "im": quad.value.imag,
+                           "err_est": quad.err_est},
+            "abs_diff": abs(ana.value - quad.value),
+        }
+        for dn, ana, quad in rows
+    ]}) + "\n"
 
-    objs = []
-    for dn, ana, quad in rows:
-        objs.append(
-            "{"
-            f'"dn": {dn}, '
-            f'"analytic": {{"re": {_g(ana.value.real)}, "im": {_g(ana.value.imag)}, '
-            f'"method": "{ana.method}", "err_est": {_g(ana.err_est)}}}, '
-            f'"quadrature": {{"re": {_g(quad.value.real)}, "im": {_g(quad.value.imag)}, '
-            f'"err_est": {_g(quad.err_est)}}}, '
-            f'"abs_diff": {_g(abs(ana.value - quad.value))}'
-            "}"
-        )
-    return (
-        "{"
-        f'"alpha": {_g(a.alpha)}, "beta": {_g(beta)}, '
-        '"rows": [' + ", ".join(objs) + "]"
-        "}\n"
-    )
+
+_OBSERVABLE_COLUMNS = (
+    "m", "alpha", "q_mean", "q_mean_oracle", "p_mean", "p2_mean", "dispersion", "q_dev"
+)
 
 
 def _cmd_observables(args) -> str:
@@ -183,86 +159,24 @@ def _cmd_observables(args) -> str:
         label = StateLabel(m, alpha)
         q = expectation_Q(label)
         return (
-            label,
-            q,
-            expectation_Q_quadrature(label, spec),
-            expectation_P(label),
-            expectation_P2(label),
-            momentum_dispersion(label),
+            label.m, label.alpha, q, expectation_Q_quadrature(label, spec),
+            expectation_P(label), expectation_P2(label), momentum_dispersion(label),
             q - label.alpha,
         )
 
     rows = [row(m, alpha) for m in ms for alpha in alphas]
-
     if args.format == "csv":
-        lines = ["m,alpha,q_mean,q_mean_oracle,p_mean,p2_mean,dispersion,q_dev"]
-        for label, q, q_or, p, p2, disp, dev in rows:
-            lines.append(
-                f"{label.m},{_g(label.alpha)},{_g(q)},{_g(q_or)},"
-                f"{_g(p)},{_g(p2)},{_g(disp)},{_g(dev)}"
-            )
-        return "\n".join(lines) + "\n"
-
-    objs = [
-        "{"
-        f'"m": {label.m}, "alpha": {_g(label.alpha)}, "q_mean": {_g(q)}, '
-        f'"q_mean_oracle": {_g(q_or)}, "p_mean": {_g(p)}, "p2_mean": {_g(p2)}, '
-        f'"dispersion": {_g(disp)}, "q_dev": {_g(dev)}'
-        "}"
-        for label, q, q_or, p, p2, disp, dev in rows
-    ]
-    return '{"rows": [' + ", ".join(objs) + "]}\n"
-
-
-_PLANE_WAVE = re.compile(r"^plane_wave_(-?\d+)$")
-
-
-def _build_vector(name: str, n_grid: int) -> SampledWaveFunction:
-    if name == "vacuum":
-        return sample_state(StateLabel(0, 0.0), n_grid)
-    if name == "two_peak":
-        if n_grid < 16:
-            raise DomainError(f"n_grid must be >= 16, got {n_grid}")
-        phi = -math.pi + np.arange(n_grid) * (_TWO_PI / n_grid)
-        amps = _amplitudes(StateLabel(0, -math.pi / 2), phi) + _amplitudes(
-            StateLabel(0, math.pi / 2), phi
-        )
-        nsq = _TWO_PI / n_grid * float(np.sum(np.abs(amps) ** 2))
-        return SampledWaveFunction(n_grid, amps / math.sqrt(nsq))
-    match = _PLANE_WAVE.match(name)
-    if match:
-        winding = int(match.group(1))
-        if n_grid < 16:
-            raise DomainError(f"n_grid must be >= 16, got {n_grid}")
-        if abs(winding) > n_grid // 4:
-            raise DomainError(
-                f"plane wave winding {winding} too fast for n_grid = {n_grid}"
-            )
-        phi = -math.pi + np.arange(n_grid) * (_TWO_PI / n_grid)
-        amps = np.exp(1j * winding * phi) / math.sqrt(_TWO_PI)
-        return SampledWaveFunction(n_grid, amps)
-    raise DomainError(
-        f"unknown vector {name!r}; expected vacuum, two_peak, or plane_wave_<int>"
-    )
+        return to_csv([_OBSERVABLE_COLUMNS, *rows])
+    return to_json({"rows": [dict(zip(_OBSERVABLE_COLUMNS, r)) for r in rows]}) + "\n"
 
 
 def _cmd_resolution(args) -> str:
-    if args.k_max < 0:
-        raise DomainError(f"--k-max must be >= 0, got {args.k_max}")
-    eta = _build_vector(args.vector, args.grid)
-    report = resolution_check(eta, args.k_max)
+    report = resolution_check(named_vector(args.vector, args.grid), args.k_max)
     if args.format == "json":
         return report.to_json() + "\n"
-    lines = ["k,term,estimate"]
-    center = report.k_max
-    cumulative = report.cumulative()
-    for j in range(report.k_max + 1):
-        if j == 0:
-            term = report.per_k_terms[center]
-        else:
-            term = report.per_k_terms[center - j] + report.per_k_terms[center + j]
-        lines.append(f"{j},{_g(term)},{_g(cumulative[j])}")
-    return "\n".join(lines) + "\n"
+    terms, c = report.per_k_terms, report.k_max
+    pairs = [terms[c]] + [terms[c - j] + terms[c + j] for j in range(1, c + 1)]
+    return to_csv([("k", "term", "estimate"), *zip(range(c + 1), pairs, report.cumulative())])
 
 
 # ---------------------------------------------------------------------------

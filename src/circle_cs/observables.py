@@ -67,6 +67,7 @@ from .states import (
     sample_state,
     wrap_angle,
 )
+from .tables import to_json
 
 _TWO_PI = 2.0 * math.pi
 
@@ -341,24 +342,15 @@ class ResolutionReport:
 
     def to_json(self) -> str:
         """Deterministic JSON document (fixed key order, 17 digit floats)."""
-
-        def g(x: float) -> str:
-            return format(float(x), ".17g")
-
-        conv = ", ".join(
-            '{"k": %d, "estimate": %s}' % (j, g(c))
-            for j, c in enumerate(self.cumulative())
-        )
-        terms = ", ".join(g(t) for t in self.per_k_terms)
-        return (
-            "{"
-            f'"k_max": {self.k_max}, '
-            f'"estimate": {g(self.estimate)}, '
-            f'"defect": {g(self.defect)}, '
-            f'"per_k_terms": [{terms}], '
-            f'"convergence": [{conv}]'
-            "}"
-        )
+        return to_json({
+            "k_max": self.k_max,
+            "estimate": self.estimate,
+            "defect": self.defect,
+            "per_k_terms": self.per_k_terms,
+            "convergence": [
+                {"k": j, "estimate": c} for j, c in enumerate(self.cumulative())
+            ],
+        })
 
 
 _INV_SQRT_TWO_PI = 1.0 / math.sqrt(_TWO_PI)
@@ -403,11 +395,13 @@ def resolution_check(eta: SampledWaveFunction, k_max: int) -> ResolutionReport:
     p_max = k_max + max(-q_lo, q_lo + n - 1) + 1
     window_power = _window_coefficients(p_max) ** 2
 
-    # Row k of the gather matrix holds |ghat_{k-q}|^2.
-    ks = np.arange(-k_max, k_max + 1)
-    gather = window_power[(ks[:, None] - q[None, :]) + p_max]
+    # Row k needs |ghat_{k-q}|^2 for q = q_lo .. q_lo + n - 1; since |ghat_p|^2
+    # is even in p, that is the contiguous slice starting at q_lo - k + p_max,
+    # so all rows together are one correlation, in O(n + k_max) memory.
+    lo = q_lo - k_max + p_max
+    rows = np.correlate(window_power[lo : lo + 2 * k_max + n], power, "valid")[::-1]
     scale = _TWO_PI * (_TWO_PI * normalization_constant()) ** 2
-    per_k = (scale * (gather @ power)).tolist()
+    per_k = (scale * rows).tolist()
 
     estimate = 0.0
     for t in per_k:

@@ -36,6 +36,7 @@ from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
 from .special import erf_complex
 from .states import StateLabel, _amplitudes, normalization_constant, wrap_angle
+from .tables import to_csv
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -173,12 +174,11 @@ def overlap_table_csv(entries) -> str:
 
     Columns: m,alpha,n,beta,re,im,abs,method,err_est; 17 significant digits.
     """
-    lines = ["m,alpha,n,beta,re,im,abs,method,err_est"]
-    for a, b, res in entries:
-        v = res.value
-        lines.append(
-            f"{a.m},{a.alpha:.17g},{b.m},{b.alpha:.17g},"
-            f"{v.real:.17g},{v.imag:.17g},{abs(v):.17g},"
-            f"{res.method},{res.err_est:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    return to_csv([
+        ("m", "alpha", "n", "beta", "re", "im", "abs", "method", "err_est"),
+        *(
+            (a.m, a.alpha, b.m, b.alpha, res.value.real, res.value.imag,
+             abs(res.value), res.method, res.err_est)
+            for a, b, res in entries
+        ),
+    ])

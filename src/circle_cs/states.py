@@ -27,11 +27,13 @@ import functools
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .tables import to_csv
 
 _TWO_PI = 2.0 * math.pi
 
@@ -152,15 +154,14 @@ class SampledWaveFunction:
 
     def to_csv(self, destination) -> None:
         """Write rows phi,re,im at 17 significant digits."""
-        own = isinstance(destination, (str, bytes, os.PathLike))
-        fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-        try:
-            fh.write("phi,re,im\n")
-            for p, z in zip(self.grid(), self.amplitudes):
-                fh.write(f"{p:.17g},{z.real:.17g},{z.imag:.17g}\n")
-        finally:
-            if own:
-                fh.close()
+        amps = self.amplitudes
+        columns = (self.grid().tolist(), amps.real.tolist(), amps.imag.tolist())
+        text = to_csv([("phi", "re", "im"), *zip(*columns)])
+        if isinstance(destination, (str, bytes, os.PathLike)):
+            with open(destination, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            destination.write(text)
 
 
 def sample_state(label: StateLabel, n_grid: int) -> SampledWaveFunction:
@@ -170,6 +171,40 @@ def sample_state(label: StateLabel, n_grid: int) -> SampledWaveFunction:
     n_grid = int(n_grid)
     phi = -math.pi + np.arange(n_grid) * (_TWO_PI / n_grid)
     return SampledWaveFunction(n_grid, _amplitudes(label, phi))
+
+
+_PLANE_WAVE = re.compile(r"^plane_wave_(-?\d+)$")
+
+
+def named_vector(name: str, n_grid: int) -> SampledWaveFunction:
+    """A unit test vector by name: vacuum, two_peak or plane_wave_<k>.
+
+    vacuum is the (0, 0) state; two_peak the normalized sum of the
+    (0, -pi/2) and (0, pi/2) states; plane_wave_<k> is e^{i k phi}/sqrt(2 pi),
+    with |k| <= n_grid/4.  n_grid must be at least 16, as in sample_state.
+    """
+    vacuum = sample_state(StateLabel(0, 0.0), n_grid)
+    if name == "vacuum":
+        return vacuum
+    if name == "two_peak":
+        amps = (
+            sample_state(StateLabel(0, -math.pi / 2), n_grid).amplitudes
+            + sample_state(StateLabel(0, math.pi / 2), n_grid).amplitudes
+        )
+        nsq = SampledWaveFunction(n_grid, amps).norm_squared()
+        return SampledWaveFunction(n_grid, amps / math.sqrt(nsq))
+    match = _PLANE_WAVE.match(name)
+    if match:
+        winding = int(match.group(1))
+        if abs(winding) > n_grid // 4:
+            raise DomainError(
+                f"plane wave winding {winding} too fast for n_grid = {n_grid}"
+            )
+        amps = np.exp(1j * winding * vacuum.grid()) / math.sqrt(_TWO_PI)
+        return SampledWaveFunction(n_grid, amps)
+    raise DomainError(
+        f"unknown vector {name!r}; expected vacuum, two_peak, or plane_wave_<int>"
+    )
 
 
 def fourier_coefficients(psi: SampledWaveFunction, n_max: int) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 
 from oracles import erf_maclaurin
 
-from circle_cs.cli import _build_vector
 from circle_cs.observables import (
     expectation_P,
     expectation_P2,
@@ -31,6 +30,7 @@ from circle_cs.quadrature import integrate
 from circle_cs.special import erf_complex
 from circle_cs.states import (
     StateLabel,
+    named_vector,
     normalization_constant,
     phase_transform,
     sample_state,
@@ -65,7 +65,7 @@ def test_criterion_2_resolution_of_unity():
     start = time.perf_counter()
     defects = {}
     for name in ("vacuum", "plane_wave_5", "two_peak"):
-        eta = _build_vector(name, 4096)
+        eta = named_vector(name, 4096)
         report = resolution_check(eta, 30)
         assert report.defect <= 1e-6, f"{name}: defect {report.defect:.3e}"
         assert all(t >= 0.0 for t in report.per_k_terms)

@@ -160,6 +160,39 @@ def test_resolution_plane_wave_centered():
     assert max(range(len(terms)), key=terms.__getitem__) == 7 + 5
 
 
+def _csv_table(text):
+    lines = text.strip().split("\n")
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_csv_and_json_carry_the_same_numbers():
+    args = ("eval", "--m", "2", "--alpha", "0.3", "--grid", "32")
+    header, rows = _csv_table(run_cli(*args).stdout)
+    doc = json.loads(run_cli(*args, "--format", "json").stdout)
+    assert header == ["phi", "re", "im"]
+    assert doc["n_grid"] == len(rows) == 32
+    for j, name in enumerate(header):
+        assert [float(r[j]) for r in rows] == doc[name]
+
+    args = ("observables", "--m", "-1:1", "--alpha", "-3:3:4")
+    header, rows = _csv_table(run_cli(*args).stdout)
+    doc = json.loads(run_cli(*args, "--format", "json").stdout)
+    assert [list(obj) for obj in doc["rows"]] == [header] * len(rows) == [header] * 12
+    for row, obj in zip(rows, doc["rows"]):
+        assert int(row[0]) == obj["m"]
+        assert [float(x) for x in row[1:]] == [obj[name] for name in header[1:]]
+
+    args = ("resolution", "--k-max", "6", "--vector", "two_peak")
+    header, rows = _csv_table(run_cli(*args).stdout)
+    doc = json.loads(run_cli(*args, "--format", "json").stdout)
+    assert header == ["k", "term", "estimate"]
+    assert [int(r[0]) for r in rows] == [c["k"] for c in doc["convergence"]]
+    assert [float(r[2]) for r in rows] == [c["estimate"] for c in doc["convergence"]]
+    terms = doc["per_k_terms"]
+    pairs = [terms[6]] + [terms[6 - j] + terms[6 + j] for j in range(1, 7)]
+    assert [float(r[1]) for r in rows] == pairs
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "state.csv"
     proc = run_cli("eval", "--grid", "16", "--out", str(target))
@@ -191,6 +224,7 @@ def test_determinism_and_thread_invariance():
         ("nonsense",),
         ("eval", "--abs-tol", "1e-9"),
         ("resolution", "--rel-tol", "1e-9"),
+        ("resolution", "--k-max", "-1"),
     ],
 )
 def test_argument_failures_exit_2(args):

@@ -23,12 +23,12 @@ from circle_cs import (
     resolution_check,
     sample_state,
 )
-from circle_cs.cli import _build_vector
 from circle_cs.observables import (
     _kink_coefficients,
     _kink_expansion,
     _window_coefficients,
 )
+from circle_cs.states import named_vector
 from oracles import window_coefficient_reference
 
 PI = math.pi
@@ -273,15 +273,17 @@ def _adaptive_resolution_terms(eta, k_max):
 def test_resolution_terms_match_adaptive_alpha_integration():
     vectors = {
         "vacuum": sample_state(StateLabel(0, 0.0), 4096),
-        "two_peak": _build_vector("two_peak", 4096),
+        "two_peak": named_vector("two_peak", 4096),
         "displaced": sample_state(StateLabel(4, 1.0), 4096),
     }
-    for name, eta in vectors.items():
-        for k_max in (5, 30):
-            got = resolution_check(eta, k_max).per_k_terms
-            ref = _adaptive_resolution_terms(eta, k_max)
-            err = max(abs(a - b) for a, b in zip(got, ref))
-            assert err <= 1e-12, (name, k_max, err)
+    cases = [(name, eta, k_max) for name, eta in vectors.items() for k_max in (5, 30)]
+    # k_max beyond n_grid/2: the window slice runs past the FFT band on both sides
+    cases.append(("two_peak_64", named_vector("two_peak", 64), 40))
+    for name, eta, k_max in cases:
+        got = resolution_check(eta, k_max).per_k_terms
+        ref = _adaptive_resolution_terms(eta, k_max)
+        err = max(abs(a - b) for a, b in zip(got, ref))
+        assert err <= 1e-12, (name, k_max, err)
 
 
 def test_resolution_validation():
