@@ -114,8 +114,8 @@ _OVERLAP_COLUMNS = (
 
 
 def _cmd_overlap(args) -> str:
-    if not 0 <= args.dn_max <= 16:
-        raise DomainError(f"--dn-max must be in 0..16, got {args.dn_max}")
+    if args.dn_max < 0:
+        raise DomainError(f"--dn-max must be >= 0, got {args.dn_max}")
     spec = _make_spec(args)
     a = StateLabel(0, args.alpha)
     beta = wrap_angle(args.beta)
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dn-max",
         type=int,
         default=5,
-        help="winding difference sweep half-width (0..16)",
+        help="winding difference sweep half-width (>= 0)",
     )
     _add_common(p)
     _add_tolerances(p)

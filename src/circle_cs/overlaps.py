@@ -10,7 +10,8 @@ each panel gives (for labels in the canonical wedge 0 <= alpha <= beta <= pi)
 
 and  <m,alpha | n,beta> = A^2 (I1 + I2).  The A^2 prefactor and every sign
 above were fixed by calibration against direct quadrature (docs/formulas.md
-walks the derivation and lists the sign traps).
+walks the derivation and lists the sign traps).  Both panels evaluate
+e^{-u^2/4} Re erf through the overflow-free Faddeeva kernel, for every u.
 
 General label pairs reduce to the wedge by two exact moves: a rigid
 rotation by -alpha, which multiplies the overlap by e^{i u alpha}, and
@@ -34,20 +35,15 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
-from .special import erf_complex
+from .special import _faddeeva_upper
 from .states import StateLabel, _amplitudes, normalization_constant, wrap_angle
 from .tables import to_csv
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# erf_complex is certified for |Im| <= 12, i.e. |dn| <= 24 in the panel
-# forms; overlap() stops trusting the analytic route earlier, at 16.
-_DN_ANALYTIC_MAX = 16
-_DN_PANEL_MAX = 24
-
-# Rounding bound reported for the analytic route: the erf evaluation is good
-# to ~2e-16 relative and the assembly is a short product, so 1e-14 absolute
-# is already conservative for overlaps bounded by 1.
+# Rounding bound reported for the analytic route: the scaled erf is good to
+# ~1e-16 absolute and the assembly is a short product (measured <= 3e-16
+# against 40-digit references), so 1e-14 is conservative.
 _ANALYTIC_ERR = 1e-14
 
 
@@ -78,9 +74,19 @@ def _check_wedge(alpha: float, beta: float, dn) -> int:
         )
     if not isinstance(dn, numbers.Integral):
         raise DomainError(f"dn must be an integer, got {dn!r}")
-    if abs(dn) > _DN_PANEL_MAX:
-        raise DomainError(f"|dn| = {abs(dn)} beyond the erf box (max {_DN_PANEL_MAX})")
     return int(dn)
+
+
+def _scaled_re_erf(x: float, u: int) -> float:
+    """e^{-u^2/4} Re erf(x + iu/2) for 0 <= x <= pi, without overflow.
+
+    erf(z) = 1 - e^{-z^2} w(iz) with iz = -u/2 + ix in the upper half plane;
+    exactly 0 at x = 0, where the erf argument is purely imaginary.
+    """
+    if x == 0.0:
+        return 0.0
+    w = complex(_faddeeva_upper(complex(-0.5 * u, x)))
+    return math.exp(-0.25 * u * u) - math.exp(-x * x) * (cmath.exp(-1j * x * u) * w).real
 
 
 def overlap_I1(alpha: float, beta: float, dn: int) -> complex:
@@ -95,9 +101,8 @@ def overlap_I1(alpha: float, beta: float, dn: int) -> complex:
     return (
         _SQRT_PI
         * math.exp(-((math.pi - delta) ** 2))
-        * math.exp(-0.25 * u * u)
         * cmath.exp(1j * u * (s - math.pi))
-        * erf_complex(complex(delta, 0.5 * u)).real
+        * _scaled_re_erf(delta, u)
     )
 
 
@@ -109,9 +114,8 @@ def overlap_I2(alpha: float, beta: float, dn: int) -> complex:
     return (
         _SQRT_PI
         * math.exp(-(delta * delta))
-        * math.exp(-0.25 * u * u)
         * cmath.exp(1j * u * s)
-        * erf_complex(complex(math.pi - delta, 0.5 * u)).real
+        * _scaled_re_erf(math.pi - delta, u)
     )
 
 
@@ -123,15 +127,12 @@ def _wedge_value(beta: float, u: int) -> complex:
 def overlap(a: StateLabel, b: StateLabel) -> OverlapResult:
     """<a|b> by the closed forms, reduced to the canonical wedge.
 
-    Equal labels short-circuit to exactly 1.  Winding differences beyond
-    |n - m| = 16 fall back to overlap_quadrature (the erf arguments would
-    leave the certified box), flagged by the result's method field.
+    Equal labels short-circuit to exactly 1.  Any winding difference
+    |n - m| takes the same path; the method field is always "analytic".
     """
     if a == b:
         return OverlapResult(1.0 + 0.0j, "analytic", 0.0)
     u = b.m - a.m
-    if abs(u) > _DN_ANALYTIC_MAX:
-        return overlap_quadrature(a, b)
     d = wrap_angle(b.alpha - a.alpha)
     if d >= 0.0:
         val = cmath.exp(1j * u * a.alpha) * _wedge_value(d, u)

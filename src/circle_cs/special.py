@@ -1,9 +1,8 @@
-"""Error function for complex arguments.
+"""Complex error function and the Faddeeva kernel w behind it.
 
-The overlap formulas in this package evaluate erf at points delta + i*u/2
-with delta in [0, pi] and integer u, so a dependable complex erf is the one
-special function everything else leans on.  The evaluator below is certified
-on the closed box |Re z| <= 12, |Im z| <= 12 and refuses anything outside it.
+The package's closed forms (overlap panels, window coefficients) call the
+overflow-free kernel _faddeeva_upper directly; erf_complex is the public
+erf, certified on the box |Re z|, |Im z| <= 12 and refusing anything outside.
 
 Scheme
 ------
@@ -114,8 +113,8 @@ def _faddeeva_upper(zeta):
     """Scaled complement w(zeta) for Im(zeta) >= 0, scalar or ndarray.
 
     Extended-precision rational approximation; callers own the domain check.
-    Also used directly by the resolution-of-unity machinery, whose window
-    coefficients need w((-p + i*pi)/sqrt 2) for large real p.
+    Serves erf_complex, overlaps._scaled_re_erf (at -u/2 + ix) and
+    observables._window_coefficients (at (-p + i*pi)/sqrt 2, large real p).
     """
     zl = np.asarray(zeta, dtype=np.clongdouble)
     den = _L - 1j * zl

@@ -76,6 +76,16 @@ def test_overlap_table_agreement_column():
         assert fields[10] == "analytic"
 
 
+def test_overlap_past_sixteen_windings():
+    proc = run_cli("overlap", "--beta", "0.4", "--dn-max", "24")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.strip().split("\n")[1:]]
+    assert [int(r[2]) for r in rows] == list(range(-24, 25))
+    for fields in rows:
+        assert fields[10] == "analytic"
+        assert float(fields[9]) <= 1e-10  # abs_diff
+
+
 def test_overlap_self_row():
     proc = run_cli("overlap", "--dn-max", "0")
     fields = proc.stdout.strip().split("\n")[1].split(",")
@@ -213,7 +223,6 @@ def test_determinism_and_thread_invariance():
 @pytest.mark.parametrize(
     "args",
     [
-        ("overlap", "--dn-max", "17"),
         ("overlap", "--dn-max", "-1"),
         ("eval", "--grid", "8"),
         ("eval", "--m", "not_int"),
