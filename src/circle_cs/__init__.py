@@ -38,7 +38,6 @@ from .states import (
     phase_transform,
     sample_state,
     shift_transform,
-    vacuum,
     wrap_angle,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "StateLabel",
     "SampledWaveFunction",
     "coherent_eval",
-    "vacuum",
     "sample_state",
     "fourier_coefficients",
     "phase_transform",

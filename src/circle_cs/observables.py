@@ -47,7 +47,6 @@ alpha-integral is exactly 2 pi (2 pi A)^2 sum_q |ghat_{k-q}|^2 |a_q|^2.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -61,11 +60,11 @@ from .special import _faddeeva_upper
 from .states import (
     SampledWaveFunction,
     StateLabel,
+    _split_at_kinks,
     _wrap_array,
     fourier_coefficients,
     normalization_constant,
     sample_state,
-    wrap_angle,
 )
 from .tables import to_json
 
@@ -108,19 +107,11 @@ def momentum_dispersion(label: StateLabel) -> float:
     return 0.5 - a2 * math.pi * math.exp(-math.pi**2)
 
 
-def _density_splits(label: StateLabel, spec: QuadratureSpec) -> QuadratureSpec:
-    seam = wrap_angle(label.alpha - math.pi)
-    pts = set(spec.split_points)
-    if -math.pi < seam < math.pi:
-        pts.add(seam)
-    return dataclasses.replace(spec, split_points=tuple(sorted(pts)))
-
-
 def expectation_Q_quadrature(
     label: StateLabel, spec: QuadratureSpec | None = None
 ) -> float:
     """Direct integral of phi |psi(phi)|^2, split at the envelope kink."""
-    spec = _density_splits(label, spec or QuadratureSpec())
+    spec = _split_at_kinks(spec, label)
     a2 = normalization_constant() ** 2
 
     def f(phi: np.ndarray) -> np.ndarray:
@@ -135,7 +126,7 @@ def expectation_P_quadrature(
     label: StateLabel, spec: QuadratureSpec | None = None
 ) -> float:
     """Integral of conj(psi) (-i psi'); the integrand is (m + i w) rho."""
-    spec = _density_splits(label, spec or QuadratureSpec())
+    spec = _split_at_kinks(spec, label)
     a2 = normalization_constant() ** 2
     m = label.m
 
@@ -156,7 +147,7 @@ def expectation_P2_quadrature(
     so this form counts the kink's delta without having to sample it; the
     pointwise integrand (1 + (m+iw)^2) rho of -psi'' would drop it.
     """
-    spec = _density_splits(label, spec or QuadratureSpec())
+    spec = _split_at_kinks(spec, label)
     a2 = normalization_constant() ** 2
     m = label.m
 

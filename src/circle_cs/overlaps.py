@@ -26,7 +26,6 @@ independent route the analytic path is tested against.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,7 +35,13 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
 from .special import _faddeeva_upper
-from .states import StateLabel, _amplitudes, normalization_constant, wrap_angle
+from .states import (
+    StateLabel,
+    _amplitudes,
+    _split_at_kinks,
+    normalization_constant,
+    wrap_angle,
+)
 from .tables import to_csv
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -154,14 +159,7 @@ def overlap_quadrature(
     to its center; both kinks are declared as split points so every panel
     sees a smooth integrand.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    seams = set(spec.split_points)
-    for label in (a, b):
-        seam = wrap_angle(label.alpha - math.pi)
-        if -math.pi < seam < math.pi:
-            seams.add(seam)
-    spec = dataclasses.replace(spec, split_points=tuple(sorted(seams)))
+    spec = _split_at_kinks(spec, a, b)
 
     def f(phi: np.ndarray) -> np.ndarray:
         return np.conj(_amplitudes(a, phi)) * _amplitudes(b, phi)

@@ -17,7 +17,6 @@ rounded to the decimal strings below.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -90,43 +89,45 @@ class QuadratureSpec:
         object.__setattr__(self, "split_points", pts)
 
 
-def _panel(f, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
+def _panels(f, lo: np.ndarray, hi: np.ndarray):
+    """K15 values and |K15 - G7| estimates of every panel, from one f call."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = (mid[:, None] + half[:, None] * _NODES).ravel()
     y = np.asarray(f(x), dtype=complex)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
-    k15 = half * np.dot(_K_WEIGHTS, y)
-    g7 = half * np.dot(_G_WEIGHTS, y[_GAUSS_SLICE])
-    k15 = complex(k15)
-    return k15, abs(k15 - complex(g7))
+    y = y.reshape(lo.size, _NODES.size)
+    k15 = half * (y @ _K_WEIGHTS)
+    g7 = half * (y[:, _GAUSS_SLICE] @ _G_WEIGHTS)
+    return k15, np.abs(k15 - g7)
 
 
-def _collect(heap, frozen):
-    """Deterministic totals: panels summed in interval order."""
-    rows = [(a0, v, -nege) for nege, _, a0, _, _, v in heap]
-    rows += [(a0, v, e) for a0, v, e in frozen]
-    rows.sort(key=lambda r: r[0])
-    value = 0j
-    err = 0.0
-    for _, v, e in rows:
-        value += v
-        err += e
-    return value, err
+def _not_met(reason: str, value: complex, err: float) -> ToleranceNotMet:
+    return ToleranceNotMet(
+        f"integrate: {reason}; best estimate {value} with err_est {err:.3e}",
+        value,
+        err,
+    )
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
     """Adaptively integrate f over [a, b] to the spec's tolerances.
 
     Returns (value, err_est) with err_est <= max(abs_tol, rel_tol*|value|).
-    Refinement always bisects the panel with the largest error estimate
-    |K15 - G7|, and the final sum runs over panels in interval order, so the
-    result is a deterministic function of (f, a, b, spec) alone.
+    Refinement runs in rounds: each round sums every panel in interval
+    order and accepts the totals if they meet the tolerance.  Otherwise it
+    bisects every panel whose |K15 - G7| exceeds its width's share of the
+    tolerance and evaluates all the new panels in one call to f.  A panel at
+    max_depth, or one too narrow to have a midpoint strictly inside it, is
+    frozen: it keeps its estimate, and only the tolerance its error leaves
+    is shared among the others.  The result is a deterministic function of
+    (f, a, b, spec) alone.
 
     Raises DomainError for a >= b, non-finite limits, or split points not
     strictly inside (a, b); raises ToleranceNotMet (carrying the best value
-    and its error estimate) when the depth or panel budget runs out first.
+    and its error estimate) when only frozen panels are left to bisect or
+    the panel budget runs out first.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -140,56 +141,34 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
         if not a < p < b:
             raise DomainError(f"split point {p} not strictly inside ({a}, {b})")
 
-    edges = (a, *spec.split_points, b)
-    heap = []
-    frozen = []  # panels that can no longer be refined: (left, value, err)
-    seq = 0
-    val_sum = 0j
-    err_sum = 0.0
-    for a0, b0 in zip(edges, edges[1:]):
-        v, e = _panel(f, a0, b0)
-        heapq.heappush(heap, (-e, seq, a0, b0, 0, v))
-        seq += 1
-        val_sum += v
-        err_sum += e
-    npanels = len(edges) - 1
-
-    def fail(reason):
-        value, err = _collect(heap, frozen)
-        raise ToleranceNotMet(
-            f"integrate: {reason}; best estimate {value} with err_est {err:.3e}",
-            value,
-            err,
-        )
-
+    edges = np.array((a, *spec.split_points, b))
+    lo, hi = edges[:-1], edges[1:]
+    depth = np.zeros(lo.size, dtype=int)
+    val, err = _panels(f, lo, hi)
     while True:
-        if err_sum <= max(spec.abs_tol, spec.rel_tol * abs(val_sum)):
-            # Resync against the order-independent totals before accepting.
-            value, err = _collect(heap, frozen)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-                return value, err
-            val_sum, err_sum = value, err
-            continue
-        if not heap:
-            fail("all panels at maximum depth")
-        nege, _, a0, b0, depth, v = heapq.heappop(heap)
-        if depth >= spec.max_depth:
-            frozen.append((a0, v, -nege))
-            continue
-        if npanels + 1 > _MAX_PANELS:
-            heapq.heappush(heap, (nege, seq, a0, b0, depth, v))
-            fail(f"panel budget {_MAX_PANELS} exhausted")
-        mid = 0.5 * (a0 + b0)
-        if not a0 < mid < b0:
-            # Interval narrower than float spacing; nothing left to gain.
-            frozen.append((a0, v, -nege))
-            continue
-        v1, e1 = _panel(f, a0, mid)
-        v2, e2 = _panel(f, mid, b0)
-        heapq.heappush(heap, (-e1, seq, a0, mid, depth + 1, v1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, b0, depth + 1, v2))
-        seq += 1
-        val_sum += v1 + v2 - v
-        err_sum += e1 + e2 - (-nege)
-        npanels += 1
+        value = complex(val.sum())
+        err_est = float(err.sum())
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        if err_est <= tol:
+            return value, err_est
+        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        live = (depth < spec.max_depth) & (lo < mid) & (mid < hi)
+        # Frozen panels keep their error; the live ones share what is left.
+        spare = tol - err[~live].sum()
+        split = live & (err * width[live].sum() > spare * width)
+        if spare <= 0.0 or not split.any():
+            raise _not_met("the error left is held by frozen panels", value, err_est)
+        if lo.size + np.count_nonzero(split) > _MAX_PANELS:
+            raise _not_met(f"panel budget {_MAX_PANELS} exhausted", value, err_est)
+        # Each split panel becomes two adjacent children, which keeps the
+        # arrays in interval order.
+        reps = 1 + split
+        last = np.cumsum(reps) - 1
+        lo, hi = np.repeat(lo, reps), np.repeat(hi, reps)
+        lo[last[split]] = mid[split]
+        hi[last[split] - 1] = mid[split]
+        depth = np.repeat(depth + split, reps)
+        new = np.repeat(split, reps)
+        val, err = np.repeat(val, reps), np.repeat(err, reps)
+        val[new], err[new] = _panels(f, lo[new], hi[new])

@@ -23,6 +23,7 @@ continuum object is needed (norm, Fourier coefficients).
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 import numbers
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import QuadratureSpec
 from .tables import to_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -110,14 +112,18 @@ def _amplitudes(label: StateLabel, phi: np.ndarray) -> np.ndarray:
     )
 
 
-def vacuum():
-    """The (0, 0) state as a plain callable phi -> complex."""
-    label = StateLabel(0, 0.0)
+def _split_at_kinks(
+    spec: QuadratureSpec | None, *labels: StateLabel
+) -> QuadratureSpec:
+    """spec (default QuadratureSpec()) with each label's envelope kink added.
 
-    def psi(phi: float) -> complex:
-        return coherent_eval(label, phi)
-
-    return psi
+    The kink sits at wrap(alpha - pi); it becomes a split point of an
+    integral over (-pi, pi) unless it falls on the endpoint -pi.
+    """
+    spec = spec or QuadratureSpec()
+    kinks = (wrap_angle(label.alpha - math.pi) for label in labels)
+    points = set(spec.split_points) | {k for k in kinks if -math.pi < k < math.pi}
+    return dataclasses.replace(spec, split_points=tuple(sorted(points)))
 
 
 @dataclass(frozen=True)

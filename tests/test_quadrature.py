@@ -3,7 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from circle_cs import DomainError, QuadratureSpec, ToleranceNotMet, integrate
+import circle_cs.overlaps
+from circle_cs import (
+    DomainError,
+    QuadratureSpec,
+    StateLabel,
+    ToleranceNotMet,
+    integrate,
+    overlap,
+    overlap_quadrature,
+)
+from circle_cs.quadrature import _G_WEIGHTS, _GAUSS_SLICE, _K_WEIGHTS, _NODES
+
+
+def test_rule_degree_exactness():
+    def residual(weights, nodes, d):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        return abs(float(weights @ nodes**d) - exact)
+
+    gauss_nodes = _NODES[_GAUSS_SLICE]
+    for d in range(23):
+        assert residual(_K_WEIGHTS, _NODES, d) <= 1e-15, d
+    for d in range(14):
+        assert residual(_G_WEIGHTS, gauss_nodes, d) <= 1e-15, d
+    # one degree past exactness both rules miss, so a wrong slice or a
+    # misordered table cannot pass the loops above by accident
+    assert residual(_K_WEIGHTS, _NODES, 24) > 1e-12
+    assert residual(_G_WEIGHTS, gauss_nodes, 14) > 1e-12
 
 
 def test_constant():
@@ -99,8 +125,17 @@ def test_determinism():
 
 def test_relative_tolerance_mode():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10)
-    value, err = integrate(lambda x: np.exp(-x * x), -1.0, 1.0, spec)
-    assert err <= 1e-10 * abs(value)
+    cases = [
+        (lambda x: np.exp(-x * x), -1.0, 1.0),
+        # integral 2.1e-4, small next to the integrand itself
+        (lambda x: np.exp(-x * x) * np.cos(6 * x), -math.pi, math.pi),
+        (lambda x: np.exp(3j * x) / (1 + x * x), -2.0, 3.0),
+        (lambda x: np.cos(40 * x), 0.0, 1.0),
+        (lambda x: np.sqrt(x), 0.0, 1.0),
+    ]
+    for f, a, b in cases:
+        value, err = integrate(f, a, b, spec)
+        assert err <= 1e-10 * abs(value), (a, b)
 
 
 def test_tolerance_not_met_carries_estimate():
@@ -116,6 +151,41 @@ def test_tolerance_not_met_carries_estimate():
     exc = info.value
     assert abs(exc.value - 2.0) <= 1e-2
     assert exc.err_est > 1e-12
+
+
+def test_frozen_panel_leaves_its_tolerance_to_the_rest():
+    # The panel at the singularity freezes at depth 10 holding most of the
+    # 2.4e-3 budget; the other panels must refine into what it leaves.
+    spec = QuadratureSpec(abs_tol=2.4e-3, rel_tol=0.0, max_depth=10)
+    value, err = integrate(lambda x: 1 / np.sqrt(x) + np.cos(30 * x), 0.0, 1.0, spec)
+    assert err <= 2.4e-3
+    assert abs(value - (2.0 + math.sin(30.0) / 30.0)) <= err
+
+
+def test_panel_budget_raises_with_estimate():
+    # 954 jumps on (0, 1): every panel holding one stays over its share of
+    # the tolerance until the panel budget runs out.
+    with pytest.raises(ToleranceNotMet, match="panel budget") as info:
+        integrate(lambda x: np.sign(np.sin(3000.0 * x)), 0.0, 1.0)
+    exact = 1.0 - 954.0 * math.pi / 3000.0
+    assert abs(info.value.value - exact) <= 1e-5
+
+
+def test_one_integrand_call_per_round(monkeypatch):
+    calls = [0]
+
+    def counting_integrate(f, *args, **kwargs):
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(circle_cs.overlaps, "integrate", counting_integrate)
+    a, b = StateLabel(0, 0.3), StateLabel(256, 1.2)
+    result = overlap_quadrature(a, b)
+    assert calls[0] <= 12
+    assert abs(result.value - overlap(a, b).value) <= 1e-10
 
 
 def test_singularity_at_declared_split_is_never_sampled():

@@ -14,7 +14,6 @@ from circle_cs import (
     phase_transform,
     sample_state,
     shift_transform,
-    vacuum,
     wrap_angle,
 )
 
@@ -91,8 +90,9 @@ def test_coherent_eval_values():
     # winding phase at a quarter turn
     val = coherent_eval(StateLabel(1, 0.0), PI / 2)
     assert abs(val - 1j * a * math.exp(-PI * PI / 8)) <= 1e-15
-    assert abs(vacuum()(PI / 2) - 0.21873844379499023) <= 1e-15
-    assert abs(vacuum()(-PI) - 0.0054020312760367817) <= 1e-17
+    vacuum = StateLabel(0, 0.0)
+    assert abs(coherent_eval(vacuum, PI / 2) - 0.21873844379499023) <= 1e-15
+    assert abs(coherent_eval(vacuum, -PI) - 0.0054020312760367817) <= 1e-17
 
 
 def test_periodicity():
