@@ -41,15 +41,6 @@ from .states import StateLabel, named_vector, sample_state, wrap_angle
 from .tables import to_csv, to_json
 
 
-def _make_spec(args) -> QuadratureSpec:
-    kwargs = {}
-    if args.abs_tol is not None:
-        kwargs["abs_tol"] = args.abs_tol
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    return QuadratureSpec(**kwargs)
-
-
 def _parse_int_sweep(text: str) -> list:
     """'3', '1,2,5', or 'lo:hi' (inclusive integer range)."""
     text = text.strip()
@@ -109,14 +100,15 @@ def _cmd_eval(args) -> str:
 
 _OVERLAP_COLUMNS = (
     "alpha", "beta", "dn", "re_analytic", "im_analytic", "abs_analytic",
-    "re_quadrature", "im_quadrature", "abs_quadrature", "abs_diff", "method", "err_est",
+    "re_quadrature", "im_quadrature", "abs_quadrature", "abs_diff", "method",
+    "err_est_quadrature",
 )
 
 
 def _cmd_overlap(args) -> str:
     if args.dn_max < 0:
         raise DomainError(f"--dn-max must be >= 0, got {args.dn_max}")
-    spec = _make_spec(args)
+    spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     a = StateLabel(0, args.alpha)
     beta = wrap_angle(args.beta)
 
@@ -153,7 +145,7 @@ _OBSERVABLE_COLUMNS = (
 def _cmd_observables(args) -> str:
     ms = _parse_int_sweep(args.m)
     alphas = _parse_float_sweep(args.alpha)
-    spec = _make_spec(args)
+    spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
     def row(m: int, alpha: float):
         label = StateLabel(m, alpha)
@@ -193,10 +185,12 @@ def _add_common(sub) -> None:
 
 def _add_tolerances(sub) -> None:
     sub.add_argument(
-        "--abs-tol", type=float, default=None, help="quadrature absolute tolerance"
+        "--abs-tol", type=float, default=QuadratureSpec.abs_tol,
+        help="quadrature absolute tolerance",
     )
     sub.add_argument(
-        "--rel-tol", type=float, default=None, help="quadrature relative tolerance"
+        "--rel-tol", type=float, default=QuadratureSpec.rel_tol,
+        help="quadrature relative tolerance",
     )
 
 

@@ -20,7 +20,8 @@ envelope kink at the antipode of alpha is the envelope's minimum, so -psi''
 also carries a delta there that takes 2 A^2 pi e^{-pi^2} back off
 (docs/formulas.md, "Momentum second moment").  Each closed form ships with
 a quadrature oracle built on the adaptive engine so tests never compare a
-formula with itself; <P^2> also has a spectral route.
+formula with itself; the three moment oracles weight one density integral
+(_density_moment), and <P^2> also has a spectral route.
 
 Resolution of unity
 -------------------
@@ -40,7 +41,8 @@ window:
 
 where w is the scaled complementary error function.  The naive expression
 e^{-p^2/2} Re erf((pi + i p)/sqrt 2) is the same number but overflows past
-p ~ 28; the scaled form is stable for every p the sum touches.  The
+p ~ 28; the scaled form, special._scaled_re_erf (shared with the overlap
+panels), is stable for every p the sum touches.  The
 projection is a trigonometric polynomial in alpha, so by Parseval its
 alpha-integral is exactly 2 pi (2 pi A)^2 sum_q |ghat_{k-q}|^2 |a_q|^2.
 """
@@ -55,12 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate
-from .special import _faddeeva_upper
+from .quadrature import QuadratureSpec
+from .special import _scaled_re_erf
 from .states import (
     SampledWaveFunction,
     StateLabel,
-    _split_at_kinks,
+    _integrate_period,
     _wrap_array,
     fourier_coefficients,
     normalization_constant,
@@ -107,35 +109,30 @@ def momentum_dispersion(label: StateLabel) -> float:
     return 0.5 - a2 * math.pi * math.exp(-math.pi**2)
 
 
-def expectation_Q_quadrature(
-    label: StateLabel, spec: QuadratureSpec | None = None
-) -> float:
-    """Direct integral of phi |psi(phi)|^2, split at the envelope kink."""
-    spec = _split_at_kinks(spec, label)
+def _density_moment(label: StateLabel, weight, spec: QuadratureSpec | None) -> float:
+    """Re int weight(phi, w) rho(phi) dphi over one period; w = wrap(phi - alpha)."""
     a2 = normalization_constant() ** 2
 
     def f(phi: np.ndarray) -> np.ndarray:
         w = _wrap_array(phi - label.alpha)
-        return phi * a2 * np.exp(-w * w)
+        return weight(phi, w) * a2 * np.exp(-w * w)
 
-    value, _ = integrate(f, -math.pi, math.pi, spec)
+    value, _ = _integrate_period(f, spec, label)
     return value.real
+
+
+def expectation_Q_quadrature(
+    label: StateLabel, spec: QuadratureSpec | None = None
+) -> float:
+    """Direct integral of phi |psi(phi)|^2, split at the envelope kink."""
+    return _density_moment(label, lambda phi, w: phi, spec)
 
 
 def expectation_P_quadrature(
     label: StateLabel, spec: QuadratureSpec | None = None
 ) -> float:
     """Integral of conj(psi) (-i psi'); the integrand is (m + i w) rho."""
-    spec = _split_at_kinks(spec, label)
-    a2 = normalization_constant() ** 2
-    m = label.m
-
-    def f(phi: np.ndarray) -> np.ndarray:
-        w = _wrap_array(phi - label.alpha)
-        return (m + 1j * w) * a2 * np.exp(-w * w)
-
-    value, _ = integrate(f, -math.pi, math.pi, spec)
-    return value.real
+    return _density_moment(label, lambda phi, w: label.m + 1j * w, spec)
 
 
 def expectation_P2_quadrature(
@@ -147,16 +144,7 @@ def expectation_P2_quadrature(
     so this form counts the kink's delta without having to sample it; the
     pointwise integrand (1 + (m+iw)^2) rho of -psi'' would drop it.
     """
-    spec = _split_at_kinks(spec, label)
-    a2 = normalization_constant() ** 2
-    m = label.m
-
-    def f(phi: np.ndarray) -> np.ndarray:
-        w = _wrap_array(phi - label.alpha)
-        return (m * m + w * w) * a2 * np.exp(-w * w)
-
-    value, _ = integrate(f, -math.pi, math.pi, spec)
-    return value.real
+    return _density_moment(label, lambda phi, w: label.m * label.m + w * w, spec)
 
 
 # The kink expansion keeps k^-2 .. k^-_KINK_ORDER; the spectral route needs
@@ -300,12 +288,22 @@ def expectation_P2_fourier(
 # ---------------------------------------------------------------------------
 
 
+def _shell_sums(terms) -> list:
+    """Sums over |k| <= j, j = 0 .. K, of terms listed for k = -K .. K."""
+    c = len(terms) // 2
+    out = [terms[c]]
+    for j in range(1, c + 1):
+        out.append(out[-1] + terms[c - j] + terms[c + j])
+    return out
+
+
 @dataclass(frozen=True)
 class ResolutionReport:
     """Outcome of resolution_check.
 
     per_k_terms holds the individual integrals for k = -k_max .. k_max (all
-    nonnegative); estimate is their sum, defect its distance from 2 pi.
+    nonnegative); estimate is their sum, the last entry of cumulative(), and
+    defect its distance from 2 pi.
     """
 
     k_max: int
@@ -325,11 +323,7 @@ class ResolutionReport:
 
     def cumulative(self) -> list:
         """Partial sums over |k| <= j for j = 0 .. k_max (nondecreasing)."""
-        center = self.k_max
-        out = [self.per_k_terms[center]]
-        for j in range(1, self.k_max + 1):
-            out.append(out[-1] + self.per_k_terms[center - j] + self.per_k_terms[center + j])
-        return out
+        return _shell_sums(self.per_k_terms)
 
     def to_json(self) -> str:
         """Deterministic JSON document (fixed key order, 17 digit floats)."""
@@ -348,14 +342,16 @@ _INV_SQRT_TWO_PI = 1.0 / math.sqrt(_TWO_PI)
 
 
 def _window_coefficients(p_max: int) -> np.ndarray:
-    """ghat_p for p = -p_max .. p_max, by the overflow-free scaled form."""
-    p = np.arange(0, p_max + 1, dtype=float)
-    zeta = (-p + 1j * math.pi) / math.sqrt(2.0)
-    wall = np.asarray(_faddeeva_upper(zeta).real, dtype=float)
-    sign = np.where(p.astype(int) % 2 == 0, -1.0, 1.0)
-    half = _INV_SQRT_TWO_PI * (
-        np.exp(-0.5 * p * p) + sign * math.exp(-0.5 * math.pi**2) * wall
-    )
+    """ghat_p = e^{-p^2/2} Re erf((pi + ip)/sqrt 2)/sqrt(2 pi), |p| <= p_max.
+
+    The phase e^{-i pi p} must be the exact sign (-1)^p, and t = p/sqrt 2
+    is taken in extended precision (docs/formulas.md, section 4).
+    """
+    p = np.arange(0, p_max + 1)
+    parity = np.where(p % 2 == 0, 1.0, -1.0)
+    t = p / np.sqrt(np.longdouble(2.0))
+    scaled = _scaled_re_erf(math.pi / math.sqrt(2.0), t, parity).astype(float)
+    half = _INV_SQRT_TWO_PI * scaled
     return np.concatenate((half[:0:-1], half))
 
 
@@ -393,10 +389,7 @@ def resolution_check(eta: SampledWaveFunction, k_max: int) -> ResolutionReport:
     rows = np.correlate(window_power[lo : lo + 2 * k_max + n], power, "valid")[::-1]
     scale = _TWO_PI * (_TWO_PI * normalization_constant()) ** 2
     per_k = (scale * rows).tolist()
-
-    estimate = 0.0
-    for t in per_k:
-        estimate += t
+    estimate = _shell_sums(per_k)[-1]
     return ResolutionReport(
         k_max=k_max,
         estimate=estimate,

@@ -10,8 +10,9 @@ each panel gives (for labels in the canonical wedge 0 <= alpha <= beta <= pi)
 
 and  <m,alpha | n,beta> = A^2 (I1 + I2).  The A^2 prefactor and every sign
 above were fixed by calibration against direct quadrature (docs/formulas.md
-walks the derivation and lists the sign traps).  Both panels evaluate
-e^{-u^2/4} Re erf through the overflow-free Faddeeva kernel, for every u.
+walks the derivation and lists the sign traps).  Both panels are one
+function, _panel, which takes e^{-u^2/4} Re erf from special._scaled_re_erf,
+the overflow-free helper the window coefficients share, for every u.
 
 General label pairs reduce to the wedge by two exact moves: a rigid
 rotation by -alpha, which multiplies the overlap by e^{i u alpha}, and
@@ -33,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate
-from .special import _faddeeva_upper
+from .quadrature import QuadratureSpec
+from .special import _scaled_re_erf
 from .states import (
     StateLabel,
     _amplitudes,
-    _split_at_kinks,
+    _integrate_period,
     normalization_constant,
     wrap_angle,
 )
@@ -70,7 +71,8 @@ class OverlapResult:
             )
 
 
-def _check_wedge(alpha: float, beta: float, dn) -> int:
+def _check_wedge(alpha: float, beta: float, dn) -> tuple:
+    """(u, delta, s) of a pair in the canonical wedge, else DomainError."""
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise DomainError(f"non-finite angles ({alpha}, {beta})")
     if not 0.0 <= alpha <= beta <= math.pi:
@@ -79,19 +81,15 @@ def _check_wedge(alpha: float, beta: float, dn) -> int:
         )
     if not isinstance(dn, numbers.Integral):
         raise DomainError(f"dn must be an integer, got {dn!r}")
-    return int(dn)
+    return int(dn), 0.5 * (beta - alpha), 0.5 * (alpha + beta)
 
 
-def _scaled_re_erf(x: float, u: int) -> float:
-    """e^{-u^2/4} Re erf(x + iu/2) for 0 <= x <= pi, without overflow.
-
-    erf(z) = 1 - e^{-z^2} w(iz) with iz = -u/2 + ix in the upper half plane;
-    exactly 0 at x = 0, where the erf argument is purely imaginary.
+def _panel(x: float, y: float, u: int, c: float) -> complex:
+    """sqrt(pi) e^{-y^2} e^{iuc} e^{-u^2/4} Re erf(x + iu/2), the shape of both
+    panels; exactly 0 at x = 0, where the erf argument is purely imaginary.
     """
-    if x == 0.0:
-        return 0.0
-    w = complex(_faddeeva_upper(complex(-0.5 * u, x)))
-    return math.exp(-0.25 * u * u) - math.exp(-x * x) * (cmath.exp(-1j * x * u) * w).real
+    scaled = 0.0 if x == 0.0 else _scaled_re_erf(x, 0.5 * u, cmath.exp(-1j * x * u))
+    return _SQRT_PI * math.exp(-y * y) * cmath.exp(1j * u * c) * float(scaled)
 
 
 def overlap_I1(alpha: float, beta: float, dn: int) -> complex:
@@ -100,33 +98,22 @@ def overlap_I1(alpha: float, beta: float, dn: int) -> complex:
     Vanishes identically when alpha == beta (the panel degenerates to a
     point: Re erf of a purely imaginary argument is zero).
     """
-    u = _check_wedge(alpha, beta, dn)
-    delta = 0.5 * (beta - alpha)
-    s = 0.5 * (alpha + beta)
-    return (
-        _SQRT_PI
-        * math.exp(-((math.pi - delta) ** 2))
-        * cmath.exp(1j * u * (s - math.pi))
-        * _scaled_re_erf(delta, u)
-    )
+    u, delta, s = _check_wedge(alpha, beta, dn)
+    return _panel(delta, math.pi - delta, u, s - math.pi)
 
 
 def overlap_I2(alpha: float, beta: float, dn: int) -> complex:
     """Panel integral away from the seam, for 0 <= alpha <= beta <= pi."""
-    u = _check_wedge(alpha, beta, dn)
-    delta = 0.5 * (beta - alpha)
-    s = 0.5 * (alpha + beta)
-    return (
-        _SQRT_PI
-        * math.exp(-(delta * delta))
-        * cmath.exp(1j * u * s)
-        * _scaled_re_erf(math.pi - delta, u)
-    )
+    u, delta, s = _check_wedge(alpha, beta, dn)
+    return _panel(math.pi - delta, delta, u, s)
 
 
 def _wedge_value(beta: float, u: int) -> complex:
-    a2 = normalization_constant() ** 2
-    return a2 * (overlap_I1(0.0, beta, u) + overlap_I2(0.0, beta, u))
+    """A^2 (I1 + I2) at alpha = 0, where delta = s = beta/2."""
+    h = 0.5 * beta
+    return normalization_constant() ** 2 * (
+        _panel(h, math.pi - h, u, h - math.pi) + _panel(math.pi - h, h, u, h)
+    )
 
 
 def overlap(a: StateLabel, b: StateLabel) -> OverlapResult:
@@ -139,14 +126,11 @@ def overlap(a: StateLabel, b: StateLabel) -> OverlapResult:
         return OverlapResult(1.0 + 0.0j, "analytic", 0.0)
     u = b.m - a.m
     d = wrap_angle(b.alpha - a.alpha)
+    rotation = cmath.exp(1j * u * a.alpha)
     if d >= 0.0:
-        val = cmath.exp(1j * u * a.alpha) * _wedge_value(d, u)
+        val = rotation * _wedge_value(d, u)
     else:
-        val = (
-            cmath.exp(1j * u * a.alpha)
-            * cmath.exp(1j * u * d)
-            * _wedge_value(-d, -u).conjugate()
-        )
+        val = rotation * cmath.exp(1j * u * d) * _wedge_value(-d, -u).conjugate()
     return OverlapResult(val, "analytic", _ANALYTIC_ERR)
 
 
@@ -159,12 +143,10 @@ def overlap_quadrature(
     to its center; both kinks are declared as split points so every panel
     sees a smooth integrand.
     """
-    spec = _split_at_kinks(spec, a, b)
-
     def f(phi: np.ndarray) -> np.ndarray:
         return np.conj(_amplitudes(a, phi)) * _amplitudes(b, phi)
 
-    value, err = integrate(f, -math.pi, math.pi, spec)
+    value, err = _integrate_period(f, spec, a, b)
     return OverlapResult(value, "quadrature", err)
 
 

@@ -1,8 +1,9 @@
 """Complex error function and the Faddeeva kernel w behind it.
 
-The package's closed forms (overlap panels, window coefficients) call the
-overflow-free kernel _faddeeva_upper directly; erf_complex is the public
-erf, certified on the box |Re z|, |Im z| <= 12 and refusing anything outside.
+The package's closed forms (overlap panels, window coefficients) share one
+overflow-free helper, _scaled_re_erf, which evaluates e^{-t^2} Re erf(x + it)
+through the kernel _faddeeva_upper; erf_complex is the public erf, certified
+on the box |Re z|, |Im z| <= 12 and refusing anything outside.
 
 Scheme
 ------
@@ -113,8 +114,8 @@ def _faddeeva_upper(zeta):
     """Scaled complement w(zeta) for Im(zeta) >= 0, scalar or ndarray.
 
     Extended-precision rational approximation; callers own the domain check.
-    Serves erf_complex, overlaps._scaled_re_erf (at -u/2 + ix) and
-    observables._window_coefficients (at (-p + i*pi)/sqrt 2, large real p).
+    Serves erf_complex and _scaled_re_erf.  A 0-d input costs several times
+    less than a 2-point array, so scalar callers pass one point per call.
     """
     zl = np.asarray(zeta, dtype=np.clongdouble)
     den = _L - 1j * zl
@@ -123,6 +124,21 @@ def _faddeeva_upper(zeta):
     for c in reversed(_W_COEFFS):
         poly = poly * big_z + c
     return 2.0 * poly / (den * den) + _INV_SQRT_PI / den
+
+
+def _scaled_re_erf(x, t, phase):
+    """e^{-t^2} Re erf(x + it) for real x >= 0 and t, scalar or ndarray.
+
+    erf(z) = 1 - e^{-z^2} w(iz) with iz = -t + ix in the upper half plane
+    gives e^{-t^2} - e^{-x^2} Re[e^{-2ixt} w(-t + ix)], whose terms are both
+    bounded for every t.  The caller passes phase = e^{-2ixt}, so that it can
+    be exact where it is known in closed form (a sign, for the window
+    coefficients).  e^{-t^2} is a double exponential of t*t formed in t's
+    precision, so an extended-precision t = p/sqrt 2 gives exactly e^{-p^2/2};
+    the rest keeps w's extended precision, and callers round.
+    """
+    w = _faddeeva_upper(-t + 1j * x)
+    return np.exp(-t * t, dtype=float) - np.exp(-x * x) * (phase * w).real
 
 
 def _erf_series(z: complex) -> complex:

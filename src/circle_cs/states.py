@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, integrate
 from .tables import to_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -112,18 +112,15 @@ def _amplitudes(label: StateLabel, phi: np.ndarray) -> np.ndarray:
     )
 
 
-def _split_at_kinks(
-    spec: QuadratureSpec | None, *labels: StateLabel
-) -> QuadratureSpec:
-    """spec (default QuadratureSpec()) with each label's envelope kink added.
-
-    The kink sits at wrap(alpha - pi); it becomes a split point of an
-    integral over (-pi, pi) unless it falls on the endpoint -pi.
+def _integrate_period(f, spec: QuadratureSpec | None, *labels: StateLabel):
+    """integrate(f, -pi, pi, spec or QuadratureSpec()) split at each label's
+    envelope kink, wrap(alpha - pi), unless it falls on the endpoint -pi.
     """
     spec = spec or QuadratureSpec()
     kinks = (wrap_angle(label.alpha - math.pi) for label in labels)
     points = set(spec.split_points) | {k for k in kinks if -math.pi < k < math.pi}
-    return dataclasses.replace(spec, split_points=tuple(sorted(points)))
+    spec = dataclasses.replace(spec, split_points=tuple(sorted(points)))
+    return integrate(f, -math.pi, math.pi, spec)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,15 @@ def test_resolution_json_document():
     assert doc["defect"] == abs(doc["estimate"] - 2 * PI)
 
 
+@pytest.mark.parametrize("k_max", [30, 100])
+def test_resolution_estimate_is_the_last_convergence_entry(k_max):
+    args = ("resolution", "--vector", "plane_wave_5", "--k-max", str(k_max))
+    doc = json.loads(run_cli(*args, "--format", "json").stdout)
+    assert doc["estimate"] == doc["convergence"][-1]["estimate"]
+    _, rows = _csv_table(run_cli(*args).stdout)
+    assert float(rows[-1][2]) == doc["estimate"]
+
+
 def test_resolution_csv_table():
     proc = run_cli("resolution", "--k-max", "3")
     lines = proc.stdout.strip().split("\n")
@@ -191,6 +200,20 @@ def test_csv_and_json_carry_the_same_numbers():
     for row, obj in zip(rows, doc["rows"]):
         assert int(row[0]) == obj["m"]
         assert [float(x) for x in row[1:]] == [obj[name] for name in header[1:]]
+
+    args = ("overlap", "--alpha", "0.4", "--beta", "-2", "--dn-max", "3")
+    header, rows = _csv_table(run_cli(*args).stdout)
+    doc = json.loads(run_cli(*args, "--format", "json").stdout)
+    assert header[9:] == ["abs_diff", "method", "err_est_quadrature"]
+    assert len(rows) == len(doc["rows"]) == 7
+    for row, obj in zip(rows, doc["rows"]):
+        ana, quad = obj["analytic"], obj["quadrature"]
+        assert int(row[2]) == obj["dn"]
+        assert [float(x) for x in row[3:5]] == [ana["re"], ana["im"]]
+        assert [float(x) for x in row[6:8]] == [quad["re"], quad["im"]]
+        assert float(row[9]) == obj["abs_diff"]
+        assert row[10] == ana["method"]
+        assert float(row[11]) == quad["err_est"]
 
     args = ("resolution", "--k-max", "6", "--vector", "two_peak")
     header, rows = _csv_table(run_cli(*args).stdout)

@@ -203,7 +203,7 @@ def test_resolution_vacuum():
     assert all(t >= 0.0 for t in report.per_k_terms)
     cum = report.cumulative()
     assert all(b >= a for a, b in zip(cum, cum[1:]))
-    assert abs(cum[-1] - report.estimate) <= 1e-12
+    assert cum[-1] == report.estimate
 
 
 def test_resolution_truncation_grows_monotonically():
@@ -304,9 +304,8 @@ def test_report_json_round_trips():
     assert doc["defect"] == report.defect
     assert doc["per_k_terms"] == list(report.per_k_terms)
     assert len(doc["convergence"]) == 4
-    # cumulative sums run center-outward, the estimate in label order;
-    # identical up to addition reordering
-    assert abs(doc["convergence"][-1]["estimate"] - report.estimate) <= 1e-12
+    # the estimate is the last center-outward cumulative sum, bit for bit
+    assert doc["convergence"][-1]["estimate"] == report.estimate
 
 
 def test_report_invariants_enforced():

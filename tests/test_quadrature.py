@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import circle_cs.overlaps
+import circle_cs.states
 from circle_cs import (
     DomainError,
     QuadratureSpec,
@@ -181,7 +181,7 @@ def test_one_integrand_call_per_round(monkeypatch):
 
         return integrate(counted, *args, **kwargs)
 
-    monkeypatch.setattr(circle_cs.overlaps, "integrate", counting_integrate)
+    monkeypatch.setattr(circle_cs.states, "integrate", counting_integrate)
     a, b = StateLabel(0, 0.3), StateLabel(256, 1.2)
     result = overlap_quadrature(a, b)
     assert calls[0] <= 12

@@ -1,0 +1,43 @@
+"""The generators in tools/ reproduce the constant tables frozen in the package."""
+
+import contextlib
+import importlib.util
+import io
+import re
+from pathlib import Path
+
+import mpmath as mp
+import numpy as np
+
+from circle_cs import quadrature, special
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PAIR = re.compile(r'\("([^"]+)", "([^"]+)"\)')
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gauss_kronrod_generator_reproduces_the_table():
+    # The generator sets mpmath's working precision when it loads; workdps
+    # puts the caller's back.
+    out = io.StringIO()
+    with mp.workdps(mp.mp.dps), contextlib.redirect_stdout(out):
+        _load("gen_gauss_kronrod").main()
+    kronrod, gauss = out.getvalue().split("# G7 weights")
+    pairs = PAIR.findall(kronrod)
+    assert pairs == [*quadrature._KRONROD_POSITIVE, ("0.0", quadrature._KRONROD_CENTER_WEIGHT)]
+    weights = [w for _, w in PAIR.findall(gauss)]
+    assert weights == [*quadrature._GAUSS_POSITIVE, quadrature._GAUSS_CENTER_WEIGHT]
+
+
+def test_faddeeva_generator_reproduces_the_coefficients():
+    gen = _load("gen_faddeeva_coeffs")
+    with mp.workdps(mp.mp.dps):
+        ell, coefs = gen.weideman_coeffs(gen.N, gen.DPS)
+        printed = [mp.nstr(c, 30) for c in (ell, *coefs)]
+    assert [np.longdouble(s) for s in printed] == [special._L, *special._W_COEFFS]
