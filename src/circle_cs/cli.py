@@ -88,19 +88,16 @@ def _parse_float_sweep(text: str) -> list:
 
 def _cmd_eval(args) -> str:
     psi = sample_state(StateLabel(args.m, args.alpha), args.grid)
-    columns = {
-        "phi": psi.grid().tolist(),
-        "re": psi.amplitudes.real.tolist(),
-        "im": psi.amplitudes.imag.tolist(),
-    }
     if args.format == "csv":
-        return to_csv([tuple(columns), *zip(*columns.values())])
-    return to_json({"n_grid": psi.n_grid, **columns}) + "\n"
+        return psi.to_csv()
+    amps = psi.amplitudes
+    doc = {"n_grid": psi.n_grid, "phi": psi.grid(), "re": amps.real, "im": amps.imag}
+    return to_json(doc) + "\n"
 
 
 _OVERLAP_COLUMNS = (
     "alpha", "beta", "dn", "re_analytic", "im_analytic", "abs_analytic",
-    "re_quadrature", "im_quadrature", "abs_quadrature", "abs_diff", "method",
+    "re_quadrature", "im_quadrature", "abs_quadrature", "abs_diff",
     "err_est_quadrature",
 )
 
@@ -121,14 +118,14 @@ def _cmd_overlap(args) -> str:
         return to_csv([_OVERLAP_COLUMNS, *(
             (a.alpha, beta, dn, ana.value.real, ana.value.imag, abs(ana.value),
              quad.value.real, quad.value.imag, abs(quad.value),
-             abs(ana.value - quad.value), ana.method, quad.err_est)
+             abs(ana.value - quad.value), quad.err_est)
             for dn, ana, quad in rows
         )])
     return to_json({"alpha": a.alpha, "beta": beta, "rows": [
         {
             "dn": dn,
             "analytic": {"re": ana.value.real, "im": ana.value.imag,
-                         "method": ana.method, "err_est": ana.err_est},
+                         "err_est": ana.err_est},
             "quadrature": {"re": quad.value.real, "im": quad.value.imag,
                            "err_est": quad.err_est},
             "abs_diff": abs(ana.value - quad.value),

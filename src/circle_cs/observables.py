@@ -42,9 +42,10 @@ window:
 where w is the scaled complementary error function.  The naive expression
 e^{-p^2/2} Re erf((pi + i p)/sqrt 2) is the same number but overflows past
 p ~ 28; the scaled form, special._scaled_re_erf (shared with the overlap
-panels), is stable for every p the sum touches.  The
-projection is a trigonometric polynomial in alpha, so by Parseval its
-alpha-integral is exactly 2 pi (2 pi A)^2 sum_q |ghat_{k-q}|^2 |a_q|^2.
+panels), is stable for every p the sum touches.  The projection is a
+trigonometric polynomial in alpha, so by Parseval its alpha-integral is
+exactly 2 pi (2 pi A)^2 sum_q |ghat_{k-q}|^2 |a_q|^2.  ResolutionReport
+holds these per-k terms alone; k_max, estimate and defect derive from them.
 """
 
 from __future__ import annotations
@@ -288,42 +289,43 @@ def expectation_P2_fourier(
 # ---------------------------------------------------------------------------
 
 
-def _shell_sums(terms) -> list:
-    """Sums over |k| <= j, j = 0 .. K, of terms listed for k = -K .. K."""
-    c = len(terms) // 2
-    out = [terms[c]]
-    for j in range(1, c + 1):
-        out.append(out[-1] + terms[c - j] + terms[c + j])
-    return out
-
-
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Outcome of resolution_check.
+    """Outcome of resolution_check: the per-k terms and what they sum to.
 
-    per_k_terms holds the individual integrals for k = -k_max .. k_max (all
-    nonnegative); estimate is their sum, the last entry of cumulative(), and
-    defect its distance from 2 pi.
+    per_k_terms holds the individual integrals for k = -k_max .. k_max (an
+    odd count, all nonnegative).  estimate is their sum, the last entry of
+    cumulative(), and defect its distance from 2 pi.
     """
 
-    k_max: int
-    estimate: float
-    defect: float
     per_k_terms: tuple
 
     def __post_init__(self):
-        if len(self.per_k_terms) != 2 * self.k_max + 1:
-            raise DomainError(
-                f"expected {2 * self.k_max + 1} per-k terms, got {len(self.per_k_terms)}"
-            )
+        n = len(self.per_k_terms)
+        if n % 2 != 1:
+            raise DomainError(f"expected an odd number of per-k terms, got {n}")
         if any(t < 0.0 for t in self.per_k_terms):
             raise DomainError("per-k terms must be nonnegative")
-        if abs(self.defect - abs(self.estimate - _TWO_PI)) > 1e-12:
-            raise DomainError("defect inconsistent with estimate")
+
+    @property
+    def k_max(self) -> int:
+        return len(self.per_k_terms) // 2
+
+    @property
+    def estimate(self) -> float:
+        return self.cumulative()[-1]
+
+    @property
+    def defect(self) -> float:
+        return abs(self.estimate - _TWO_PI)
 
     def cumulative(self) -> list:
         """Partial sums over |k| <= j for j = 0 .. k_max (nondecreasing)."""
-        return _shell_sums(self.per_k_terms)
+        t, c = self.per_k_terms, self.k_max
+        out = [t[c]]
+        for j in range(1, c + 1):
+            out.append(out[-1] + t[c - j] + t[c + j])
+        return out
 
     def to_json(self) -> str:
         """Deterministic JSON document (fixed key order, 17 digit floats)."""
@@ -366,7 +368,6 @@ def resolution_check(eta: SampledWaveFunction, k_max: int) -> ResolutionReport:
     """
     if not isinstance(k_max, numbers.Integral) or k_max < 0:
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
-    k_max = int(k_max)
     nsq = eta.norm_squared()
     if abs(nsq - 1.0) > 1e-9:
         raise DomainError(
@@ -388,11 +389,4 @@ def resolution_check(eta: SampledWaveFunction, k_max: int) -> ResolutionReport:
     lo = q_lo - k_max + p_max
     rows = np.correlate(window_power[lo : lo + 2 * k_max + n], power, "valid")[::-1]
     scale = _TWO_PI * (_TWO_PI * normalization_constant()) ** 2
-    per_k = (scale * rows).tolist()
-    estimate = _shell_sums(per_k)[-1]
-    return ResolutionReport(
-        k_max=k_max,
-        estimate=estimate,
-        defect=abs(estimate - _TWO_PI),
-        per_k_terms=tuple(per_k),
-    )
+    return ResolutionReport(tuple((scale * rows).tolist()))

@@ -21,7 +21,8 @@ identities of the closed forms, not approximations.
 
 overlap_quadrature() integrates conj(psi_a) psi_b directly with the
 adaptive engine, splitting panels at each envelope kink; it is the
-independent route the analytic path is tested against.
+independent route the analytic path is tested against.  Both routes return
+an OverlapResult, a value and its error estimate.
 """
 
 from __future__ import annotations
@@ -56,12 +57,9 @@ _ANALYTIC_ERR = 1e-14
 @dataclass(frozen=True)
 class OverlapResult:
     value: complex
-    method: str
     err_est: float
 
     def __post_init__(self):
-        if self.method not in ("analytic", "quadrature"):
-            raise DomainError(f"unknown overlap method {self.method!r}")
         if not (math.isfinite(self.err_est) and self.err_est >= 0.0):
             raise DomainError(f"err_est must be finite and >= 0, got {self.err_est}")
         object.__setattr__(self, "value", complex(self.value))
@@ -120,10 +118,10 @@ def overlap(a: StateLabel, b: StateLabel) -> OverlapResult:
     """<a|b> by the closed forms, reduced to the canonical wedge.
 
     Equal labels short-circuit to exactly 1.  Any winding difference
-    |n - m| takes the same path; the method field is always "analytic".
+    |n - m| takes the same path.
     """
     if a == b:
-        return OverlapResult(1.0 + 0.0j, "analytic", 0.0)
+        return OverlapResult(1.0 + 0.0j, 0.0)
     u = b.m - a.m
     d = wrap_angle(b.alpha - a.alpha)
     rotation = cmath.exp(1j * u * a.alpha)
@@ -131,7 +129,7 @@ def overlap(a: StateLabel, b: StateLabel) -> OverlapResult:
         val = rotation * _wedge_value(d, u)
     else:
         val = rotation * cmath.exp(1j * u * d) * _wedge_value(-d, -u).conjugate()
-    return OverlapResult(val, "analytic", _ANALYTIC_ERR)
+    return OverlapResult(val, _ANALYTIC_ERR)
 
 
 def overlap_quadrature(
@@ -147,19 +145,19 @@ def overlap_quadrature(
         return np.conj(_amplitudes(a, phi)) * _amplitudes(b, phi)
 
     value, err = _integrate_period(f, spec, a, b)
-    return OverlapResult(value, "quadrature", err)
+    return OverlapResult(value, err)
 
 
 def overlap_table_csv(entries) -> str:
     """Serialize (a, b, OverlapResult) triples to the flat overlap schema.
 
-    Columns: m,alpha,n,beta,re,im,abs,method,err_est; 17 significant digits.
+    Columns: m,alpha,n,beta,re,im,abs,err_est; 17 significant digits.
     """
     return to_csv([
-        ("m", "alpha", "n", "beta", "re", "im", "abs", "method", "err_est"),
+        ("m", "alpha", "n", "beta", "re", "im", "abs", "err_est"),
         *(
             (a.m, a.alpha, b.m, b.alpha, res.value.real, res.value.imag,
-             abs(res.value), res.method, res.err_est)
+             abs(res.value), res.err_est)
             for a, b, res in entries
         ),
     ])

@@ -15,19 +15,18 @@ Angles are plain floats.  wrap_angle() produces the canonical representative
 in [-pi, pi); StateLabel applies it on construction, so two labels that
 describe the same physical state compare equal.
 
-Grid conventions: an n-point sampling lives on phi_j = -pi + 2 pi j / n,
-and a sampled vector is read as its trigonometric interpolant wherever a
-continuum object is needed (norm, Fourier coefficients).
+coherent_eval (one angle) and sample_state (a grid) evaluate this formula
+through one routine, so they agree bit for bit.  An n-point sampling lives
+on phi_j = -pi + 2 pi j / n, read as its trigonometric interpolant wherever
+a continuum object is needed (norm, Fourier coefficients).
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import math
 import numbers
-import os
 import re
 from dataclasses import dataclass
 
@@ -88,18 +87,12 @@ class StateLabel:
 
 
 def coherent_eval(label: StateLabel, phi: float) -> complex:
-    """Wave function of the labeled state at angle phi.
+    """Wave function of the labeled state at angle phi, by sample_state's formula.
 
-    phi may be any finite float; it is wrapped first, so evaluation is
-    2 pi periodic by construction.
+    phi may be any finite float (DomainError otherwise); it is wrapped
+    first, so evaluation is 2 pi periodic by construction.
     """
-    phi_c = wrap_angle(phi)
-    d = wrap_angle(phi_c - label.alpha)
-    return (
-        normalization_constant()
-        * cmath.exp(1j * label.m * phi_c)
-        * math.exp(-0.5 * d * d)
-    )
+    return complex(_amplitudes(label, wrap_angle(phi)))
 
 
 def _amplitudes(label: StateLabel, phi: np.ndarray) -> np.ndarray:
@@ -155,16 +148,11 @@ class SampledWaveFunction:
     def norm_squared(self) -> float:
         return _TWO_PI / self.n_grid * float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def to_csv(self, destination) -> None:
-        """Write rows phi,re,im at 17 significant digits."""
+    def to_csv(self) -> str:
+        """Rows phi,re,im at 17 significant digits, as text."""
         amps = self.amplitudes
         columns = (self.grid().tolist(), amps.real.tolist(), amps.imag.tolist())
-        text = to_csv([("phi", "re", "im"), *zip(*columns)])
-        if isinstance(destination, (str, bytes, os.PathLike)):
-            with open(destination, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            destination.write(text)
+        return to_csv([("phi", "re", "im"), *zip(*columns)])
 
 
 def sample_state(label: StateLabel, n_grid: int) -> SampledWaveFunction:
@@ -250,10 +238,13 @@ def shift_transform(psi: SampledWaveFunction, alpha: float) -> SampledWaveFuncti
     """Rotate the samples by alpha, which must be a grid multiple.
 
     The rotated vector is psi(phi - alpha) realized as an index roll, so
-    alpha/h (h the grid step) has to be an integer to 1e-9, else DomainError.
+    alpha must be finite and alpha/h (h the grid step) an integer to 1e-9,
+    else DomainError.
     """
     h = _TWO_PI / psi.n_grid
     steps = float(alpha) / h
+    if not math.isfinite(steps):
+        raise DomainError(f"shift {alpha} is not a finite multiple of the grid step")
     nearest = round(steps)
     if abs(steps - nearest) > 1e-9:
         raise DomainError(

@@ -72,8 +72,8 @@ def test_overlap_table_agreement_column():
     assert len(lines) == 8  # header + dn in -3..3
     for line in lines[1:]:
         fields = line.split(",")
+        assert len(fields) == len(header) == 11
         assert float(fields[9]) <= 1e-9  # abs_diff
-        assert fields[10] == "analytic"
 
 
 def test_overlap_past_sixteen_windings():
@@ -82,7 +82,6 @@ def test_overlap_past_sixteen_windings():
     rows = [line.split(",") for line in proc.stdout.strip().split("\n")[1:]]
     assert [int(r[2]) for r in rows] == list(range(-24, 25))
     for fields in rows:
-        assert fields[10] == "analytic"
         assert float(fields[9]) <= 1e-10  # abs_diff
 
 
@@ -204,7 +203,7 @@ def test_csv_and_json_carry_the_same_numbers():
     args = ("overlap", "--alpha", "0.4", "--beta", "-2", "--dn-max", "3")
     header, rows = _csv_table(run_cli(*args).stdout)
     doc = json.loads(run_cli(*args, "--format", "json").stdout)
-    assert header[9:] == ["abs_diff", "method", "err_est_quadrature"]
+    assert header[9:] == ["abs_diff", "err_est_quadrature"]
     assert len(rows) == len(doc["rows"]) == 7
     for row, obj in zip(rows, doc["rows"]):
         ana, quad = obj["analytic"], obj["quadrature"]
@@ -212,8 +211,7 @@ def test_csv_and_json_carry_the_same_numbers():
         assert [float(x) for x in row[3:5]] == [ana["re"], ana["im"]]
         assert [float(x) for x in row[6:8]] == [quad["re"], quad["im"]]
         assert float(row[9]) == obj["abs_diff"]
-        assert row[10] == ana["method"]
-        assert float(row[11]) == quad["err_est"]
+        assert float(row[10]) == quad["err_est"]
 
     args = ("resolution", "--k-max", "6", "--vector", "two_peak")
     header, rows = _csv_table(run_cli(*args).stdout)

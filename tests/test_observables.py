@@ -300,6 +300,8 @@ def test_report_json_round_trips():
     report = resolution_check(eta, 3)
     doc = json.loads(report.to_json())
     assert doc["k_max"] == 3
+    assert report.k_max == len(report.per_k_terms) // 2 == 3
+    assert report.estimate == report.cumulative()[-1]
     assert doc["estimate"] == report.estimate
     assert doc["defect"] == report.defect
     assert doc["per_k_terms"] == list(report.per_k_terms)
@@ -309,24 +311,8 @@ def test_report_json_round_trips():
 
 
 def test_report_invariants_enforced():
+    for even in ((), (0.5, 0.5)):
+        with pytest.raises(DomainError):
+            ResolutionReport(even)
     with pytest.raises(DomainError):
-        ResolutionReport(
-            k_max=1,
-            estimate=1.0,
-            defect=abs(1.0 - TWO_PI),
-            per_k_terms=(0.5,),  # wrong length
-        )
-    with pytest.raises(DomainError):
-        ResolutionReport(
-            k_max=0,
-            estimate=1.0,
-            defect=abs(1.0 - TWO_PI),
-            per_k_terms=(-1.0,),
-        )
-    with pytest.raises(DomainError):
-        ResolutionReport(
-            k_max=0,
-            estimate=1.0,
-            defect=0.123,
-            per_k_terms=(1.0,),
-        )
+        ResolutionReport((-1.0,))

@@ -118,7 +118,6 @@ def test_self_overlap_exact():
     res = overlap(StateLabel(3, 1.2), StateLabel(3, 1.2))
     assert res.value == 1.0 + 0.0j
     assert res.err_est == 0.0
-    assert res.method == "analytic"
 
 
 def test_direct_wedge_equals_reduced():
@@ -197,13 +196,11 @@ def test_modulus_depends_on_differences_only():
 
 def test_large_winding_stays_analytic():
     res = overlap(StateLabel(0, 0.0), StateLabel(17, 0.4))
-    assert res.method == "analytic"
     # seam kinks make the tail algebraic (~1/dn^2), not Gaussian-small;
     # references computed at 40-digit precision with per-period panels
     assert abs(res.value - (3.2155616899997412e-06 + 8.4992730044875205e-07j)) <= 1e-15
     assert res.err_est <= 1e-10
     res = overlap(StateLabel(0, 0.0), StateLabel(16, 0.4))
-    assert res.method == "analytic"
     assert abs(res.value - (-4.1038236728118638e-06 - 2.3996638817177369e-07j)) <= 1e-12
 
 
@@ -224,7 +221,6 @@ def test_antipodal_odd_winding_vanishes():
 def test_quadrature_self_overlap():
     res = overlap_quadrature(StateLabel(2, 1.0), StateLabel(2, 1.0))
     assert abs(res.value - 1.0) <= 1e-11
-    assert res.method == "quadrature"
     assert res.err_est <= 1e-11
 
 
@@ -237,11 +233,9 @@ def test_quadrature_accepts_spec():
 
 def test_result_invariant_enforced():
     with pytest.raises(DomainError):
-        OverlapResult(1.1 + 0j, "analytic", 0.0)
+        OverlapResult(1.1 + 0j, 0.0)
     with pytest.raises(DomainError):
-        OverlapResult(0.5 + 0j, "exact", 0.0)
-    with pytest.raises(DomainError):
-        OverlapResult(0.5 + 0j, "analytic", -1.0)
+        OverlapResult(0.5 + 0j, -1.0)
 
 
 def test_table_csv_schema():
@@ -250,11 +244,10 @@ def test_table_csv_schema():
     rows = [(a, b, overlap(a, b))]
     text = overlap_table_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0] == "m,alpha,n,beta,re,im,abs,method,err_est"
+    assert lines[0] == "m,alpha,n,beta,re,im,abs,err_est"
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert fields[2] == "1"
-    assert fields[7] == "analytic"
     val = overlap(a, b).value
     assert abs(float(fields[2 + 2]) - val.real) <= 1e-16  # re column
     assert abs(float(fields[6]) - abs(val)) <= 1e-16

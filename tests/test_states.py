@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -136,6 +135,18 @@ def test_kink_at_antipode():
     assert abs((slope_right - slope_left) - expected) <= 1e-4
 
 
+def test_eval_and_sample_share_one_formula():
+    # coherent_eval and sample_state evaluate the same expression, so they
+    # agree bit for bit at every grid point.
+    rng = np.random.default_rng(23)
+    n = 256
+    for _ in range(50):
+        label = StateLabel(int(rng.integers(-20, 21)), float(rng.uniform(-PI, PI)))
+        psi = sample_state(label, n)
+        for phi, z in zip(psi.grid(), psi.amplitudes):
+            assert coherent_eval(label, phi) == z
+
+
 def test_unwrapped_form_jump_magnitude():
     # The non-modular expression A e^{-(phi-alpha)^2/2} e^{i m phi} would
     # jump at the period boundary by A|e^{-(pi-alpha)^2/2}-e^{-(pi+alpha)^2/2}|;
@@ -185,9 +196,7 @@ def test_amplitudes_read_only():
 
 def test_csv_roundtrip():
     psi = sample_state(StateLabel(1, 0.4), 16)
-    buf = io.StringIO()
-    psi.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    lines = psi.to_csv().strip().split("\n")
     assert lines[0] == "phi,re,im"
     assert len(lines) == 17
     for line, p, z in zip(lines[1:], psi.grid(), psi.amplitudes):
@@ -257,8 +266,9 @@ def test_shift_transform_matches_resampling():
 
 def test_shift_requires_grid_alignment():
     psi = sample_state(StateLabel(0, 0.0), 256)
-    with pytest.raises(DomainError):
-        shift_transform(psi, 0.1)
+    for alpha in (0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            shift_transform(psi, alpha)
 
 
 def test_weyl_commutation_single_pair():

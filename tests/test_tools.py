@@ -23,11 +23,11 @@ def _load(name):
 
 
 def test_gauss_kronrod_generator_reproduces_the_table():
-    # The generator sets mpmath's working precision when it loads; workdps
-    # puts the caller's back.
+    dps = mp.mp.dps
     out = io.StringIO()
-    with mp.workdps(mp.mp.dps), contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out):
         _load("gen_gauss_kronrod").main()
+    assert mp.mp.dps == dps  # the generator scopes its own precision
     kronrod, gauss = out.getvalue().split("# G7 weights")
     pairs = PAIR.findall(kronrod)
     assert pairs == [*quadrature._KRONROD_POSITIVE, ("0.0", quadrature._KRONROD_CENTER_WEIGHT)]
@@ -36,8 +36,9 @@ def test_gauss_kronrod_generator_reproduces_the_table():
 
 
 def test_faddeeva_generator_reproduces_the_coefficients():
+    dps = mp.mp.dps
     gen = _load("gen_faddeeva_coeffs")
-    with mp.workdps(mp.mp.dps):
-        ell, coefs = gen.weideman_coeffs(gen.N, gen.DPS)
-        printed = [mp.nstr(c, 30) for c in (ell, *coefs)]
+    ell, coefs = gen.weideman_coeffs(gen.N, gen.DPS)
+    assert mp.mp.dps == dps  # the generator scopes its own precision
+    printed = [mp.nstr(c, 30) for c in (ell, *coefs)]
     assert [np.longdouble(s) for s in printed] == [special._L, *special._W_COEFFS]

@@ -24,23 +24,23 @@ DPS = 50
 
 
 def weideman_coeffs(n_terms, dps):
-    mp.mp.dps = dps
-    m = 2 * n_terms
-    m2 = 2 * m
-    ell = mp.sqrt(n_terms / mp.sqrt(2))
-    samples = [mp.mpf(0)]  # f(-pi) = 0
-    for j in range(1, m2):
-        theta = -mp.pi + mp.pi * j / m
-        t = ell * mp.tan(theta / 2)
-        samples.append(mp.e ** (-(t**2)) * (ell * ell + t * t))
-    shifted = samples[m:] + samples[:m]  # index 0 <-> theta = 0
-    coefs = []
-    for n in range(1, n_terms + 1):
-        acc = mp.mpc(0)
-        for j in range(m2):
-            acc += shifted[j] * mp.e ** (-2 * mp.pi * 1j * n * j / m2)
-        coefs.append(mp.re(acc) / m2)
-    return ell, coefs
+    with mp.workdps(dps):
+        m = 2 * n_terms
+        m2 = 2 * m
+        ell = mp.sqrt(n_terms / mp.sqrt(2))
+        samples = [mp.mpf(0)]  # f(-pi) = 0
+        for j in range(1, m2):
+            theta = -mp.pi + mp.pi * j / m
+            t = ell * mp.tan(theta / 2)
+            samples.append(mp.e ** (-(t**2)) * (ell * ell + t * t))
+        shifted = samples[m:] + samples[:m]  # index 0 <-> theta = 0
+        coefs = []
+        for n in range(1, n_terms + 1):
+            acc = mp.mpc(0)
+            for j in range(m2):
+                acc += shifted[j] * mp.e ** (-2 * mp.pi * 1j * n * j / m2)
+            coefs.append(mp.re(acc) / m2)
+        return ell, coefs
 
 
 def w_reference(zeta):
@@ -72,15 +72,15 @@ def main():
             poly = poly * big_z + c
         return 2 * poly / (den * den) + inv_sqrt_pi / den
 
-    mp.mp.dps = 30
     worst, where = 0.0, None
-    for re in np.linspace(-17, 17, 69):
-        for im in np.linspace(0, 17, 35):
-            zeta = complex(re, im)
-            ref = complex(w_reference(zeta))
-            rel = abs(complex(w_rational(zeta)) - ref) / abs(ref)
-            if rel > worst:
-                worst, where = rel, zeta
+    with mp.workdps(30):
+        for re in np.linspace(-17, 17, 69):
+            for im in np.linspace(0, 17, 35):
+                zeta = complex(re, im)
+                ref = complex(w_reference(zeta))
+                rel = abs(complex(w_rational(zeta)) - ref) / abs(ref)
+                if rel > worst:
+                    worst, where = rel, zeta
     print(f"\nworst relative w error on the grid: {worst:.3e} at {where}")
 
 

@@ -17,7 +17,7 @@ Requires mpmath.  Output format matches the tuples in quadrature.py.
 
 import mpmath as mp
 
-mp.mp.dps = 60
+DPS = 60
 
 
 def legendre_coeffs(n):
@@ -29,6 +29,7 @@ def moment(k):
     return mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
 
 
+@mp.workdps(DPS)
 def main():
     p7 = legendre_coeffs(7)
 
