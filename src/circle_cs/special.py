@@ -25,8 +25,10 @@ below 1e-22 relative.  Outside the disk,
 where w is the scaled complement exp(-t^2) erfc(-it), evaluated by a 48-term
 rational approximation on the (closed) upper half plane.  Its coefficients
 come from tools/gen_faddeeva_coeffs.py and are frozen here as decimal
-strings; the Horner recurrence also runs in extended precision, so the final
-rounding to double dominates the error.
+strings.  The Horner recurrence runs in the precision of its argument: in
+extended precision for erf_complex and the window coefficients, so the final
+rounding to double dominates the error there, and in plain Python doubles
+for a Python complex, which is how the scalar overlap panels call it.
 
 Accuracy, measured against a 50-digit reference over the box: worst relative
 error 2.2e-16, on both sides of the |z| = 3 seam.  erf has isolated complex
@@ -46,77 +48,91 @@ from .errors import DomainError
 _BOX = 12.0
 _SERIES_RADIUS = 3.0
 
-# 1/sqrt(pi) to extended precision.
-_INV_SQRT_PI = np.longdouble(
-    "0.564189583547756286948079451560772585844050629328998856844086"
+# 1/sqrt(pi), and the pole parameter and polynomial coefficients (constant
+# term first) of the rational approximation of w on the upper half plane, as
+# decimal strings; see tools/gen_faddeeva_coeffs.py for the construction and
+# its validation.
+_INV_SQRT_PI_DIGITS = "0.564189583547756286948079451560772585844050629328998856844086"
+_L_DIGITS = "5.82590126048788104340464752989"
+_W_DIGITS = (
+    "3.19406458939507117448132077428",
+    "2.93044989562375649410989536221",
+    "2.53704848744469066350505770434",
+    "2.0707599716742919656346298223",
+    "1.59130846911780074250026702241",
+    "1.14922046453977825973603773364",
+    "0.778062419148422892591860896114",
+    "0.492257023913990727765248621138",
+    "0.289799890796048302773350056029",
+    "0.157863304433804819700926582437",
+    "0.0789558955347002302062152913115",
+    "0.0358613699833767190502085726036",
+    "0.0145468377922375575796163020453",
+    "0.00512581354822586356244749987287",
+    "0.00148649912519563570106052579222",
+    "0.000307869136408866170213160704586",
+    "0.0000175063163711463539248256716388",
+    "-0.0000190544616189843066105647297782",
+    "-0.00000947563824038513358394156398004",
+    "-0.00000194456577893192626579776743006",
+    "0.000000194943374833222604363030806868",
+    "0.000000265494920170899255449846268164",
+    "0.0000000692700063588718912082742714257",
+    "-0.0000000063868099518349111015383718341",
+    "-0.00000000959625475269032699826420339428",
+    "-0.000000002015659975374729333287299431",
+    "5.77528976557392893752765014797e-10",
+    "3.87942106688395314697861793999e-10",
+    "2.1621977623864712632860037216e-11",
+    "-4.3865882662554395361664206671e-11",
+    "-1.19354943287593509032941077273e-11",
+    "3.4254258518412529323093102027e-12",
+    "2.21549047261860459988657834927e-12",
+    "-9.64327644643045517968569291203e-14",
+    "-3.22684830738347819681126983642e-13",
+    "-3.19394237431695781901723723791e-14",
+    "4.23431046969193819451362723681e-14",
+    "9.60484048271172407804590606712e-15",
+    "-5.2979443451748263599638130724e-15",
+    "-1.94266486063821696988112755156e-15",
+    "6.55448101819189196047708376206e-16",
+    "3.48391245515957750812025264246e-16",
+    "-8.30426154989128723357083177169e-17",
+    "-5.98058230629468166862354756686e-17",
+    "1.12397210467117185326287530628e-17",
+    "1.01436447680763844490369403696e-17",
+    "-1.70024147037099191849763078481e-18",
+    "-1.7229929424733809759784349582e-18",
 )
 
-# Pole parameter and polynomial coefficients (constant term first) for the
-# rational approximation of w on the upper half plane; see
-# tools/gen_faddeeva_coeffs.py for the construction and its validation.
-_L = np.longdouble("5.82590126048788104340464752989")
-_W_COEFFS = tuple(
-    np.longdouble(s)
-    for s in (
-        "3.19406458939507117448132077428",
-        "2.93044989562375649410989536221",
-        "2.53704848744469066350505770434",
-        "2.0707599716742919656346298223",
-        "1.59130846911780074250026702241",
-        "1.14922046453977825973603773364",
-        "0.778062419148422892591860896114",
-        "0.492257023913990727765248621138",
-        "0.289799890796048302773350056029",
-        "0.157863304433804819700926582437",
-        "0.0789558955347002302062152913115",
-        "0.0358613699833767190502085726036",
-        "0.0145468377922375575796163020453",
-        "0.00512581354822586356244749987287",
-        "0.00148649912519563570106052579222",
-        "0.000307869136408866170213160704586",
-        "0.0000175063163711463539248256716388",
-        "-0.0000190544616189843066105647297782",
-        "-0.00000947563824038513358394156398004",
-        "-0.00000194456577893192626579776743006",
-        "0.000000194943374833222604363030806868",
-        "0.000000265494920170899255449846268164",
-        "0.0000000692700063588718912082742714257",
-        "-0.0000000063868099518349111015383718341",
-        "-0.00000000959625475269032699826420339428",
-        "-0.000000002015659975374729333287299431",
-        "5.77528976557392893752765014797e-10",
-        "3.87942106688395314697861793999e-10",
-        "2.1621977623864712632860037216e-11",
-        "-4.3865882662554395361664206671e-11",
-        "-1.19354943287593509032941077273e-11",
-        "3.4254258518412529323093102027e-12",
-        "2.21549047261860459988657834927e-12",
-        "-9.64327644643045517968569291203e-14",
-        "-3.22684830738347819681126983642e-13",
-        "-3.19394237431695781901723723791e-14",
-        "4.23431046969193819451362723681e-14",
-        "9.60484048271172407804590606712e-15",
-        "-5.2979443451748263599638130724e-15",
-        "-1.94266486063821696988112755156e-15",
-        "6.55448101819189196047708376206e-16",
-        "3.48391245515957750812025264246e-16",
-        "-8.30426154989128723357083177169e-17",
-        "-5.98058230629468166862354756686e-17",
-        "1.12397210467117185326287530628e-17",
-        "1.01436447680763844490369403696e-17",
-        "-1.70024147037099191849763078481e-18",
-        "-1.7229929424733809759784349582e-18",
-    )
-)
+# The constants in extended precision, and rounded once to double for
+# Python complex arguments.
+_INV_SQRT_PI = np.longdouble(_INV_SQRT_PI_DIGITS)
+_L = np.longdouble(_L_DIGITS)
+_W_COEFFS = tuple(np.longdouble(s) for s in _W_DIGITS)
+_INV_SQRT_PI_F = float(_INV_SQRT_PI_DIGITS)
+_L_F = float(_L_DIGITS)
+_W_COEFFS_F = tuple(float(s) for s in _W_DIGITS)
 
 
 def _faddeeva_upper(zeta):
-    """Scaled complement w(zeta) for Im(zeta) >= 0, scalar or ndarray.
+    """Scaled complement w(zeta) for Im(zeta) >= 0, in zeta's precision.
 
-    Extended-precision rational approximation; callers own the domain check.
-    Serves erf_complex and _scaled_re_erf.  A 0-d input costs several times
-    less than a 2-point array, so scalar callers pass one point per call.
+    One rational approximation, two precisions; callers own the domain
+    check.  A Python complex runs the recurrence in plain double arithmetic
+    on the double copies of the constants and returns a complex, with no
+    numpy call; that is the scalar overlap route, where numpy dispatch on a
+    0-d array would cost several times the arithmetic.  Anything else (a
+    clongdouble from erf_complex, a longdouble array from the window
+    coefficients) runs in extended precision and returns clongdouble.
     """
+    if isinstance(zeta, complex):
+        den = _L_F - 1j * zeta
+        big_z = (_L_F + 1j * zeta) / den
+        poly = 0j
+        for c in reversed(_W_COEFFS_F):
+            poly = poly * big_z + c
+        return 2.0 * poly / (den * den) + _INV_SQRT_PI_F / den
     zl = np.asarray(zeta, dtype=np.clongdouble)
     den = _L - 1j * zl
     big_z = (_L + 1j * zl) / den
@@ -133,11 +149,15 @@ def _scaled_re_erf(x, t, phase):
     gives e^{-t^2} - e^{-x^2} Re[e^{-2ixt} w(-t + ix)], whose terms are both
     bounded for every t.  The caller passes phase = e^{-2ixt}, so that it can
     be exact where it is known in closed form (a sign, for the window
-    coefficients).  e^{-t^2} is a double exponential of t*t formed in t's
-    precision, so an extended-precision t = p/sqrt 2 gives exactly e^{-p^2/2};
-    the rest keeps w's extended precision, and callers round.
+    coefficients).  Python floats take w's double route and return a float
+    (docs/formulas.md, section 6).  Otherwise e^{-t^2} is a double
+    exponential of t*t formed in t's precision, so an extended-precision
+    t = p/sqrt 2 gives exactly e^{-p^2/2}; the rest keeps w's extended
+    precision, and callers round.
     """
     w = _faddeeva_upper(-t + 1j * x)
+    if isinstance(w, complex):
+        return math.exp(-t * t) - math.exp(-x * x) * (phase * w).real
     return np.exp(-t * t, dtype=float) - np.exp(-x * x) * (phase * w).real
 
 

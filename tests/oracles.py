@@ -93,3 +93,13 @@ def window_coefficient_reference(p: int, dps: int = 50) -> float:
             method="gauss-legendre",
         )
         return float(val / mp.pi)
+
+
+def scaled_re_erf_reference(x: float, t: float, dps: int = 60) -> float:
+    """e^{-t^2} Re erf(x + it) straight from mp.erf at dps digits.
+
+    No scaling trick: erf(x + it) is formed at its full size, up to
+    e^{t^2} (mpmath's exponent range is unbounded), and multiplied back.
+    """
+    with mp.workdps(dps):
+        return float(mp.exp(-mp.mpf(t) ** 2) * mp.re(mp.erf(mp.mpc(x, t))))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from circle_cs import DomainError, erf_complex
+from circle_cs.special import _faddeeva_upper, _scaled_re_erf
 
-from oracles import erf_maclaurin
+from oracles import erf_maclaurin, scaled_re_erf_reference
 
 # Complex zeros of erf in the first quadrant, nearest three; relative error
 # is ill-conditioned within ~1e-7 of these (absolute error is not).
@@ -98,6 +99,35 @@ def test_branch_seam_continuity():
 def test_box_corner_is_inside():
     val = erf_complex(12 + 12j)
     assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+
+def test_kernel_runs_in_its_arguments_precision():
+    # A Python complex stays a Python complex end to end (no numpy call on
+    # the scalar overlap route); everything else stays extended.
+    assert type(_faddeeva_upper(complex(-1.5, 0.7))) is complex
+    assert type(_scaled_re_erf(0.7, -1.5, cmath.exp(2.1j))) is float
+    assert type(_faddeeva_upper(np.clongdouble(-1.5 + 0.7j))) is np.clongdouble
+    t = np.arange(3) / np.sqrt(np.longdouble(2.0))
+    assert _scaled_re_erf(1.0, t, 1.0).dtype == np.longdouble
+
+
+def test_scaled_re_erf_against_mpmath():
+    # The overlap panels' arguments: x in [0, pi], t = u/2 for winding gaps
+    # |u| <= 16 and, log-uniformly, up to 1e5, with the phase formed as the
+    # panels form it.  Measured worst absolute error on these points:
+    # 2.8e-16 for floats (double w), 1.1e-16 for longdouble (extended w).
+    rng = np.random.default_rng(2026)
+    for i in range(300):
+        x = float(rng.uniform(0.0, math.pi))
+        if i % 2:
+            u = int(rng.integers(-16, 17))
+        else:
+            u = int(rng.choice((-1, 1))) * int(round(10 ** rng.uniform(0.0, 5.0)))
+        phase = cmath.exp(-1j * x * u)
+        ref = scaled_re_erf_reference(x, 0.5 * u)
+        assert abs(_scaled_re_erf(x, 0.5 * u, phase) - ref) <= 5e-16, (x, u)
+        ext = _scaled_re_erf(np.longdouble(x), np.longdouble(0.5 * u), phase)
+        assert abs(float(ext) - ref) <= 2e-16, (x, u)
 
 
 @pytest.mark.parametrize(

@@ -42,3 +42,17 @@ def test_faddeeva_generator_reproduces_the_coefficients():
     assert mp.mp.dps == dps  # the generator scopes its own precision
     printed = [mp.nstr(c, 30) for c in (ell, *coefs)]
     assert [np.longdouble(s) for s in printed] == [special._L, *special._W_COEFFS]
+    assert [float(s) for s in printed] == [special._L_F, *special._W_COEFFS_F]
+
+
+def test_faddeeva_accuracy_map_covers_both_precisions():
+    # The map's own rational form in each precision against mpmath; the
+    # measured worst relative errors are 1.0e-16 and 3.5e-16.
+    dps = mp.mp.dps
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _load("gen_faddeeva_coeffs").main()
+    assert mp.mp.dps == dps
+    worst = dict(re.findall(r"on the grid, (\w+): (\S+) at", out.getvalue()))
+    assert float(worst["extended"]) <= 2e-16
+    assert float(worst["double"]) <= 7e-16

@@ -14,7 +14,8 @@ which together with 80-bit evaluation arithmetic leaves the final rounding
 to double as the dominant error (measured ~1e-16 on an upper-half grid).
 
 Requires mpmath.  Prints L and the 48 coefficients at 30 digits in the
-order special.py embeds them, then maps the achieved w accuracy.
+order special.py embeds them, then maps the achieved w accuracy with the
+recurrence run in double-extended and in plain double arithmetic.
 """
 
 import mpmath as mp
@@ -51,17 +52,22 @@ def main():
     ell, coefs = weideman_coeffs(N, DPS)
     print(f"L = {mp.nstr(ell, 30)}")
     for c in coefs:
-        print(f'        "{mp.nstr(c, 30)}",')
+        print(f'    "{mp.nstr(c, 30)}",')
 
-    # Accuracy map: evaluate the rational form in double-extended and
-    # compare against mpmath on an upper-half-plane grid.
+    # Accuracy map: evaluate the rational form in double-extended, as
+    # special.py does for numpy arguments, and in plain doubles, as it does
+    # for Python complex ones, and compare both against mpmath on an
+    # upper-half-plane grid.
     import numpy as np
 
+    digits = [mp.nstr(c, 25) for c in coefs]
     ld = np.clongdouble(mp.nstr(ell, 25))
-    a = [np.longdouble(mp.nstr(c, 25)) for c in coefs]
-    inv_sqrt_pi = np.longdouble(
-        "0.564189583547756286948079451560772585844050629328998856844086"
-    )
+    a = [np.longdouble(s) for s in digits]
+    inv_sqrt_pi_digits = "0.564189583547756286948079451560772585844050629328998856844086"
+    inv_sqrt_pi = np.longdouble(inv_sqrt_pi_digits)
+    ell_d = float(mp.nstr(ell, 25))
+    a_d = [float(s) for s in digits]
+    inv_sqrt_pi_d = float(inv_sqrt_pi_digits)
 
     def w_rational(zeta):
         zl = np.clongdouble(zeta)
@@ -72,16 +78,30 @@ def main():
             poly = poly * big_z + c
         return 2 * poly / (den * den) + inv_sqrt_pi / den
 
-    worst, where = 0.0, None
+    def w_rational_double(zeta):
+        den = ell_d - 1j * zeta
+        big_z = (ell_d + 1j * zeta) / den
+        poly = a_d[-1] + 0j
+        for c in a_d[-2::-1]:
+            poly = poly * big_z + c
+        return 2 * poly / (den * den) + inv_sqrt_pi_d / den
+
+    worst = {"extended": (0.0, None), "double": (0.0, None)}
     with mp.workdps(30):
         for re in np.linspace(-17, 17, 69):
             for im in np.linspace(0, 17, 35):
                 zeta = complex(re, im)
                 ref = complex(w_reference(zeta))
-                rel = abs(complex(w_rational(zeta)) - ref) / abs(ref)
-                if rel > worst:
-                    worst, where = rel, zeta
-    print(f"\nworst relative w error on the grid: {worst:.3e} at {where}")
+                for name, got in (
+                    ("extended", complex(w_rational(zeta))),
+                    ("double", w_rational_double(zeta)),
+                ):
+                    rel = abs(got - ref) / abs(ref)
+                    if rel > worst[name][0]:
+                        worst[name] = (rel, zeta)
+    print()
+    for name, (rel, where) in worst.items():
+        print(f"worst relative w error on the grid, {name}: {rel:.3e} at {where}")
 
 
 if __name__ == "__main__":
