@@ -16,6 +16,7 @@ from .observables import (
     expectation_P_quadrature,
     expectation_Q,
     expectation_Q_quadrature,
+    expectation_Q_quadrature_table,
     momentum_dispersion,
     resolution_check,
 )
@@ -25,6 +26,7 @@ from .overlaps import (
     overlap_I1,
     overlap_I2,
     overlap_quadrature,
+    overlap_quadrature_table,
     overlap_table_csv,
 )
 from .quadrature import QuadratureSpec, integrate
@@ -63,9 +65,11 @@ __all__ = [
     "overlap_I1",
     "overlap_I2",
     "overlap_quadrature",
+    "overlap_quadrature_table",
     "overlap_table_csv",
     "expectation_Q",
     "expectation_Q_quadrature",
+    "expectation_Q_quadrature_table",
     "expectation_P",
     "expectation_P_quadrature",
     "expectation_P2",

@@ -15,7 +15,8 @@ same arguments produce byte-identical output.  A value of --m, --alpha or
 
 Exit codes: 0 success, 2 bad arguments or domain validation, 3 adaptive
 integration (overlap, observables) could not reach tolerance, 4 output
-could not be written.
+could not be written.  Each of those two tables runs its oracle column in
+one engine run, and an exit-3 message names the first row that failed.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from .observables import (
     expectation_P,
     expectation_P2,
     expectation_Q,
-    expectation_Q_quadrature,
+    expectation_Q_quadrature_table,
     momentum_dispersion,
     resolution_check,
 )
-from .overlaps import overlap, overlap_quadrature
+from .overlaps import overlap, overlap_quadrature_table
 from .quadrature import QuadratureSpec
 from .states import StateLabel, named_vector, sample_state, wrap_angle
-from .tables import to_csv, to_json
+from .tables import cell, to_csv, to_json
 
 
 def _parse_int_sweep(text: str) -> list:
@@ -95,6 +96,17 @@ def _cmd_eval(args) -> str:
     return to_json(doc) + "\n"
 
 
+def _oracle_table(oracle, rows, spec, name):
+    """oracle(rows, spec); a row that misses the tolerance is named, by
+    name(index), in the error."""
+    try:
+        return oracle(rows, spec)
+    except ToleranceNotMet as exc:
+        raise ToleranceNotMet(
+            f"row {name(exc.row)}: {exc}", exc.value, exc.err_est, exc.row
+        ) from None
+
+
 _OVERLAP_COLUMNS = (
     "alpha", "beta", "dn", "re_analytic", "im_analytic", "abs_analytic",
     "re_quadrature", "im_quadrature", "abs_quadrature", "abs_diff",
@@ -109,11 +121,12 @@ def _cmd_overlap(args) -> str:
     a = StateLabel(0, args.alpha)
     beta = wrap_angle(args.beta)
 
-    def row(dn: int):
-        b = StateLabel(dn, beta)
-        return dn, overlap(a, b), overlap_quadrature(a, b, spec)
-
-    rows = [row(dn) for dn in range(-args.dn_max, args.dn_max + 1)]
+    dns = range(-args.dn_max, args.dn_max + 1)
+    pairs = [(a, StateLabel(dn, beta)) for dn in dns]
+    quads = _oracle_table(
+        overlap_quadrature_table, pairs, spec, lambda i: f"dn={dns[i]}"
+    )
+    rows = [(dn, overlap(a, b), quad) for dn, (_, b), quad in zip(dns, pairs, quads)]
     if args.format == "csv":
         return to_csv([_OVERLAP_COLUMNS, *(
             (a.alpha, beta, dn, ana.value.real, ana.value.imag, abs(ana.value),
@@ -144,16 +157,21 @@ def _cmd_observables(args) -> str:
     alphas = _parse_float_sweep(args.alpha)
     spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
-    def row(m: int, alpha: float):
-        label = StateLabel(m, alpha)
+    labels = [StateLabel(m, alpha) for m in ms for alpha in alphas]
+    oracle = _oracle_table(
+        expectation_Q_quadrature_table, labels, spec,
+        lambda i: f"m={labels[i].m}, alpha={cell(labels[i].alpha)}",
+    )
+
+    def row(label: StateLabel, q_oracle: float):
         q = expectation_Q(label)
         return (
-            label.m, label.alpha, q, expectation_Q_quadrature(label, spec),
+            label.m, label.alpha, q, q_oracle,
             expectation_P(label), expectation_P2(label), momentum_dispersion(label),
             q - label.alpha,
         )
 
-    rows = [row(m, alpha) for m in ms for alpha in alphas]
+    rows = [row(label, q_oracle) for label, q_oracle in zip(labels, oracle.tolist())]
     if args.format == "csv":
         return to_csv([_OBSERVABLE_COLUMNS, *rows])
     return to_json({"rows": [dict(zip(_OBSERVABLE_COLUMNS, r)) for r in rows]}) + "\n"

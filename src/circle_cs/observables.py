@@ -21,7 +21,8 @@ also carries a delta there that takes 2 A^2 pi e^{-pi^2} back off
 (docs/formulas.md, "Momentum second moment").  Each closed form ships with
 a quadrature oracle built on the adaptive engine so tests never compare a
 formula with itself; the three moment oracles weight one density integral
-(_density_moment), and <P^2> also has a spectral route.
+(_density_moment, which runs a whole table of labels through one engine
+run), and <P^2> also has a spectral route.
 
 Resolution of unity
 -------------------
@@ -64,6 +65,7 @@ from .states import (
     SampledWaveFunction,
     StateLabel,
     _integrate_period,
+    _label_arrays,
     _wrap_array,
     fourier_coefficients,
     normalization_constant,
@@ -110,30 +112,41 @@ def momentum_dispersion(label: StateLabel) -> float:
     return 0.5 - a2 * math.pi * math.exp(-math.pi**2)
 
 
-def _density_moment(label: StateLabel, weight, spec: QuadratureSpec | None) -> float:
-    """Re int weight(phi, w) rho(phi) dphi over one period; w = wrap(phi - alpha)."""
+def _density_moment(labels, weight, spec: QuadratureSpec | None) -> np.ndarray:
+    """Re int weight(phi, w, m) rho(phi) dphi over one period, per label, in
+    one engine run; w = wrap(phi - alpha), and m is the label's winding."""
     a2 = normalization_constant() ** 2
+    m, alpha = _label_arrays(labels)
 
-    def f(phi: np.ndarray) -> np.ndarray:
-        w = _wrap_array(phi - label.alpha)
-        return weight(phi, w) * a2 * np.exp(-w * w)
+    def f(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        w = _wrap_array(phi - alpha[rows])
+        return weight(phi, w, m[rows]) * a2 * np.exp(-w * w)
 
-    value, _ = _integrate_period(f, spec, label)
-    return value.real
+    values, _ = _integrate_period(f, spec, [(label,) for label in labels])
+    return values.real
 
 
 def expectation_Q_quadrature(
     label: StateLabel, spec: QuadratureSpec | None = None
 ) -> float:
     """Direct integral of phi |psi(phi)|^2, split at the envelope kink."""
-    return _density_moment(label, lambda phi, w: phi, spec)
+    return float(expectation_Q_quadrature_table([label], spec)[0])
+
+
+def expectation_Q_quadrature_table(labels, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """expectation_Q_quadrature of every label, in one engine run.
+
+    Each value is bit for bit the one of a single-label call.  A label that
+    misses the tolerance raises ToleranceNotMet, whose .row is its index.
+    """
+    return _density_moment(labels, lambda phi, w, m: phi, spec)
 
 
 def expectation_P_quadrature(
     label: StateLabel, spec: QuadratureSpec | None = None
 ) -> float:
     """Integral of conj(psi) (-i psi'); the integrand is (m + i w) rho."""
-    return _density_moment(label, lambda phi, w: label.m + 1j * w, spec)
+    return float(_density_moment([label], lambda phi, w, m: m + 1j * w, spec)[0])
 
 
 def expectation_P2_quadrature(
@@ -145,7 +158,7 @@ def expectation_P2_quadrature(
     so this form counts the kink's delta without having to sample it; the
     pointwise integrand (1 + (m+iw)^2) rho of -psi'' would drop it.
     """
-    return _density_moment(label, lambda phi, w: label.m * label.m + w * w, spec)
+    return float(_density_moment([label], lambda phi, w, m: m * m + w * w, spec)[0])
 
 
 # The kink expansion keeps k^-2 .. k^-_KINK_ORDER; the spectral route needs

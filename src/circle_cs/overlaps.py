@@ -22,7 +22,8 @@ identities of the closed forms, not approximations.
 overlap_quadrature() integrates conj(psi_a) psi_b directly with the
 adaptive engine, splitting panels at each envelope kink; it is the
 independent route the analytic path is tested against.  Both routes return
-an OverlapResult, a value and its error estimate.
+an OverlapResult, a value and its error estimate.  overlap_quadrature_table()
+runs a whole list of pairs through one engine run, row for row the same.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .states import (
     StateLabel,
     _amplitudes,
     _integrate_period,
+    _label_arrays,
     normalization_constant,
     wrap_angle,
 )
@@ -143,11 +145,26 @@ def overlap_quadrature(
     to its center; both kinks are declared as split points so every panel
     sees a smooth integrand.
     """
-    def f(phi: np.ndarray) -> np.ndarray:
-        return np.conj(_amplitudes(a, phi)) * _amplitudes(b, phi)
+    return overlap_quadrature_table([(a, b)], spec)[0]
 
-    value, err = _integrate_period(f, spec, a, b)
-    return OverlapResult(value, err)
+
+def overlap_quadrature_table(pairs, spec: QuadratureSpec | None = None) -> list:
+    """overlap_quadrature of every (a, b) pair, in one engine run.
+
+    Each result is bit for bit the one overlap_quadrature gives alone.  A
+    pair that misses the tolerance raises ToleranceNotMet, whose .row is
+    its index in pairs.
+    """
+    m_a, alpha_a = _label_arrays([a for a, _ in pairs])
+    m_b, alpha_b = _label_arrays([b for _, b in pairs])
+
+    def f(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.conj(_amplitudes(m_a[rows], alpha_a[rows], phi)) * _amplitudes(
+            m_b[rows], alpha_b[rows], phi
+        )
+
+    values, errs = _integrate_period(f, spec, pairs)
+    return [OverlapResult(v, e) for v, e in zip(values.tolist(), errs.tolist())]
 
 
 def overlap_table_csv(entries) -> str:

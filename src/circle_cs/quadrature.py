@@ -9,6 +9,12 @@ Integrands are vectorized: f receives an ndarray of abscissae and must
 return an array of the same shape (a scalar return is broadcast, so
 constants work too).
 
+One engine, integrate_rows, refines a batch of integrals at once, each
+row with its own split points, panels, tolerance test and error estimate;
+every round evaluates the new panels of all rows in one call f(x, rows).
+Each row comes out bit for bit as it does alone, and the batch never holds
+more than _MAX_PANELS panels.  integrate() is a batch of one.
+
 The node/weight tables were generated from first principles by
 tools/gen_gauss_kronrod.py in 60-digit arithmetic and validated by degree
 exactness (Gauss exact through degree 13, Kronrod through 22) before being
@@ -57,7 +63,8 @@ _GAUSS_SLICE = slice(1, 14, 2)
 del _pos, _wk, _g
 
 # Hard budget on the panel count, independent of max_depth; hitting it
-# raises ToleranceNotMet rather than looping for minutes.
+# raises ToleranceNotMet rather than looping for minutes.  A batch holds at
+# most this many panels across all its rows.
 _MAX_PANELS = 16384
 
 
@@ -89,25 +96,31 @@ class QuadratureSpec:
         object.__setattr__(self, "split_points", pts)
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray):
-    """K15 values and |K15 - G7| estimates of every panel, from one f call."""
+def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
+    """K15 values and |K15 - G7| estimates of every panel, from one f call.
+
+    The rule sums run per panel, not as matrix-vector products, whose
+    rounding depends on how many panels share the product; so a panel's
+    estimates depend on its own integrand values alone.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _NODES).ravel()
-    y = np.asarray(f(x), dtype=complex)
+    y = np.asarray(f(x, np.repeat(rows, _NODES.size)), dtype=complex)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
     y = y.reshape(lo.size, _NODES.size)
-    k15 = half * (y @ _K_WEIGHTS)
-    g7 = half * (y[:, _GAUSS_SLICE] @ _G_WEIGHTS)
+    k15 = half * (y * _K_WEIGHTS).sum(axis=1)
+    g7 = half * (y[:, _GAUSS_SLICE] * _G_WEIGHTS).sum(axis=1)
     return k15, np.abs(k15 - g7)
 
 
-def _not_met(reason: str, value: complex, err: float) -> ToleranceNotMet:
+def _not_met(reason: str, value: complex, err: float, row: int) -> ToleranceNotMet:
     return ToleranceNotMet(
         f"integrate: {reason}; best estimate {value} with err_est {err:.3e}",
         value,
         err,
+        row,
     )
 
 
@@ -122,53 +135,158 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
     max_depth, or one too narrow to have a midpoint strictly inside it, is
     frozen: it keeps its estimate, and only the tolerance its error leaves
     is shared among the others.  The result is a deterministic function of
-    (f, a, b, spec) alone.
+    (f, a, b, spec) alone.  This is integrate_rows with a single row.
 
     Raises DomainError for a >= b, non-finite limits, or split points not
     strictly inside (a, b); raises ToleranceNotMet (carrying the best value
     and its error estimate) when only frozen panels are left to bisect or
     the panel budget runs out first.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    values, err_ests = integrate_rows(lambda x, rows: f(x), a, b, spec)
+    return complex(values[0]), float(err_ests[0])
+
+
+def integrate_rows(f, a: float, b: float, spec: QuadratureSpec | None = None,
+                   splits=((),)):
+    """Integrate a batch of rows over [a, b], each as integrate() would alone.
+
+    f(x, rows) gets the abscissae of every open panel of every row, with
+    the row of each abscissa in the same-shaped int array rows, and returns
+    each row's integrand there.  splits holds one tuple of split points per
+    row; a row's panels start at those and at spec.split_points.  Returns
+    (values, err_ests), arrays with one entry per row.
+
+    Every row keeps its own panels, tolerance test, err_est and panel
+    budget, and each round evaluates the new panels of all rows in one
+    call to f.  A row's arithmetic reads only its own panels (per-panel
+    rule sums, per-row segment totals), so every row comes out bit for bit
+    as it does alone, whatever the batch around it.
+
+    At most _MAX_PANELS panels are held across the batch.  Rows are
+    admitted in index order, and grow in index order while the total fits;
+    the first row that does not fit and every row after it wait a round,
+    and no row is admitted in such a round.  When the lowest running row
+    cannot grow, the highest rows are evicted until it can; they restart
+    from their initial panels later and repeat the same arithmetic.
+
+    Raises DomainError as integrate() does, for any row.  When a row fails,
+    the rows above it are dropped; once every row below it has finished,
+    ToleranceNotMet is raised for it, with its index as .row, so a batch
+    fails on the row a loop over the rows would have failed on.
+    """
+    spec = spec or QuadratureSpec()
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"non-finite integration limits ({a}, {b})")
     if not a < b:
         raise DomainError(f"integration limits must satisfy a < b, got ({a}, {b})")
-    for p in spec.split_points:
-        if not a < p < b:
-            raise DomainError(f"split point {p} not strictly inside ({a}, {b})")
+    edges = []
+    for row_points in splits:
+        points = sorted({*spec.split_points, *(float(p) for p in row_points)})
+        for p in points:
+            if not a < p < b:
+                raise DomainError(f"split point {p} not strictly inside ({a}, {b})")
+        edges.append(np.array((a, *points, b)))
 
-    edges = np.array((a, *spec.split_points, b))
-    lo, hi = edges[:-1], edges[1:]
-    depth = np.zeros(lo.size, dtype=int)
-    val, err = _panels(f, lo, hi)
+    cap = _MAX_PANELS
+    values = np.zeros(len(edges), dtype=complex)
+    err_ests = np.zeros(len(edges))
+    pending = list(range(len(edges)))
+    failed = None
+    admit = True
+    # The panels of the running rows, grouped by row in ascending order and
+    # in interval order within a row; fresh marks those not yet evaluated.
+    row = depth = np.zeros(0, dtype=int)
+    lo = hi = err = np.zeros(0)
+    val = np.zeros(0, dtype=complex)
+    fresh = np.zeros(0, dtype=bool)
     while True:
-        value = complex(val.sum())
-        err_est = float(err.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if err_est <= tol:
-            return value, err_est
+        if admit:
+            total, take = row.size, 0
+            for r in pending:
+                if total + edges[r].size - 1 > cap and total:
+                    break
+                total += edges[r].size - 1
+                take += 1
+            admitted, pending = pending[:take], pending[take:]
+            if admitted:
+                sizes = [edges[r].size - 1 for r in admitted]
+                row = np.concatenate((row, np.repeat(admitted, sizes)))
+                lo = np.concatenate((lo, *(edges[r][:-1] for r in admitted)))
+                hi = np.concatenate((hi, *(edges[r][1:] for r in admitted)))
+                depth, val, err = (
+                    np.concatenate((x, np.zeros(sum(sizes), dtype=x.dtype)))
+                    for x in (depth, val, err)
+                )
+                fresh = np.concatenate((fresh, np.ones(sum(sizes), dtype=bool)))
+        if not row.size:
+            break
+        val[fresh], err[fresh] = _panels(f, lo[fresh], hi[fresh], row[fresh])
+
+        # One segment per running row: its totals and its tolerance test.
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        ids = row[starts]
+        counts = np.diff(starts, append=row.size)
+        seg = np.repeat(np.arange(ids.size), counts)
+        value = np.add.reduceat(val, starts)
+        err_est = np.add.reduceat(err, starts)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+        done = err_est <= tol
+        values[ids[done]] = value[done]
+        err_ests[ids[done]] = err_est[done]
+
         mid = 0.5 * (lo + hi)
         width = hi - lo
         live = (depth < spec.max_depth) & (lo < mid) & (mid < hi)
         # Frozen panels keep their error; the live ones share what is left.
-        spare = tol - err[~live].sum()
-        split = live & (err * width[live].sum() > spare * width)
-        if spare <= 0.0 or not split.any():
-            raise _not_met("the error left is held by frozen panels", value, err_est)
-        if lo.size + np.count_nonzero(split) > _MAX_PANELS:
-            raise _not_met(f"panel budget {_MAX_PANELS} exhausted", value, err_est)
+        spare = tol - np.add.reduceat(np.where(live, 0.0, err), starts)
+        live_width = np.add.reduceat(np.where(live, width, 0.0), starts)
+        split = live & ~done[seg] & (err * live_width[seg] > spare[seg] * width)
+        need = np.add.reduceat(split.astype(int), starts)
+        stuck = ~done & ((spare <= 0.0) | (need == 0))
+        over = ~done & ~stuck & (counts + need > cap)
+        grow = ~done & ~stuck & ~over
+        if (stuck | over).any():
+            k = np.flatnonzero(stuck | over)[0]
+            reason = (
+                "the error left is held by frozen panels" if stuck[k]
+                else f"panel budget {cap} exhausted"
+            )
+            failed = (reason, complex(value[k]), float(err_est[k]), int(ids[k]))
+            grow[k:] = False
+            pending = []
+
+        # Rows grow in index order while the total fits; when the lowest
+        # cannot, the highest are evicted until it can.
+        order = np.flatnonzero(grow)
+        total = int(counts[order].sum())
+        evicted = 0
+        while order.size and total + need[order[0]] > cap:
+            total -= counts[order[-1]]
+            order = order[:-1]
+            evicted += 1
+        pending = ids[grow][order.size:].tolist() + pending
+        fits = total + np.cumsum(need[order]) <= cap
+        growing = order[: fits.size if fits.all() else int(np.argmin(fits))]
+        admit = not evicted and growing.size == order.size
+        keep = np.zeros(ids.size, dtype=bool)
+        keep[order] = True
+        grown = np.zeros(ids.size, dtype=bool)
+        grown[growing] = True
+        split &= grown[seg]
+
         # Each split panel becomes two adjacent children, which keeps the
-        # arrays in interval order.
-        reps = 1 + split
+        # arrays in row and interval order; finished rows drop out.
+        reps = np.where(keep[seg], 1 + split, 0)
         last = np.cumsum(reps) - 1
-        lo, hi = np.repeat(lo, reps), np.repeat(hi, reps)
+        row, lo, hi, depth, val, err = (
+            np.repeat(x, reps) for x in (row, lo, hi, depth + split, val, err)
+        )
         lo[last[split]] = mid[split]
         hi[last[split] - 1] = mid[split]
-        depth = np.repeat(depth + split, reps)
-        new = np.repeat(split, reps)
-        val, err = np.repeat(val, reps), np.repeat(err, reps)
-        val[new], err[new] = _panels(f, lo[new], hi[new])
+        fresh = np.repeat(split, reps)
+
+    if failed is not None:
+        raise _not_met(*failed)
+    return values, err_ests

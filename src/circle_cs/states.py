@@ -23,7 +23,6 @@ a continuum object is needed (norm, Fourier coefficients).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate_rows
 from .tables import to_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -92,28 +91,35 @@ def coherent_eval(label: StateLabel, phi: float) -> complex:
     phi may be any finite float (DomainError otherwise); it is wrapped
     first, so evaluation is 2 pi periodic by construction.
     """
-    return complex(_amplitudes(label, wrap_angle(phi)))
+    return complex(_amplitudes(label.m, label.alpha, wrap_angle(phi)))
 
 
-def _amplitudes(label: StateLabel, phi: np.ndarray) -> np.ndarray:
+def _amplitudes(m, alpha, phi: np.ndarray) -> np.ndarray:
+    """The wave function of label (m, alpha) at phi; m and alpha may be
+    arrays of phi's shape, one label per point."""
     phi_c = _wrap_array(phi)
-    d = _wrap_array(phi_c - label.alpha)
+    d = _wrap_array(phi_c - alpha)
+    return normalization_constant() * np.exp(1j * m * phi_c) * np.exp(-0.5 * d * d)
+
+
+def _label_arrays(labels) -> tuple:
+    """(m, alpha) of a sequence of labels, as an int and a float array."""
     return (
-        normalization_constant()
-        * np.exp(1j * label.m * phi_c)
-        * np.exp(-0.5 * d * d)
+        np.array([label.m for label in labels], dtype=int),
+        np.array([label.alpha for label in labels], dtype=float),
     )
 
 
-def _integrate_period(f, spec: QuadratureSpec | None, *labels: StateLabel):
-    """integrate(f, -pi, pi, spec or QuadratureSpec()) split at each label's
-    envelope kink, wrap(alpha - pi), unless it falls on the endpoint -pi.
+def _integrate_period(f, spec: QuadratureSpec | None, label_rows):
+    """integrate_rows(f, -pi, pi, spec), one row per tuple of labels, each
+    row split at its labels' envelope kinks, wrap(alpha - pi), unless one
+    falls on the endpoint -pi.
     """
-    spec = spec or QuadratureSpec()
-    kinks = (wrap_angle(label.alpha - math.pi) for label in labels)
-    points = set(spec.split_points) | {k for k in kinks if -math.pi < k < math.pi}
-    spec = dataclasses.replace(spec, split_points=tuple(sorted(points)))
-    return integrate(f, -math.pi, math.pi, spec)
+    kinks = (
+        [wrap_angle(label.alpha - math.pi) for label in labels] for labels in label_rows
+    )
+    splits = [[k for k in row if -math.pi < k < math.pi] for row in kinks]
+    return integrate_rows(f, -math.pi, math.pi, spec, splits)
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def sample_state(label: StateLabel, n_grid: int) -> SampledWaveFunction:
         raise DomainError(f"n_grid must be an integer >= 16, got {n_grid!r}")
     n_grid = int(n_grid)
     phi = -math.pi + np.arange(n_grid) * (_TWO_PI / n_grid)
-    return SampledWaveFunction(n_grid, _amplitudes(label, phi))
+    return SampledWaveFunction(n_grid, _amplitudes(label.m, label.alpha, phi))
 
 
 _PLANE_WAVE = re.compile(r"^plane_wave_(-?\d+)$")

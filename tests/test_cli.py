@@ -269,7 +269,18 @@ def test_unreachable_tolerance_exit_3():
         "--abs-tol", "1e-30", "--rel-tol", "1e-30",
     )
     assert proc.returncode == 3
-    assert "error" in proc.stderr
+    assert proc.stderr.startswith("error: row m=0, alpha=0.5: integrate: ")
+    # Only the second row fails: alpha = 1 meets 1e-16 relative, while the
+    # odd integrand of alpha = 0 sums to rounding noise and cannot.
+    proc = run_cli(
+        "observables", "--m", "0", "--alpha", "1,0",
+        "--abs-tol", "1e-300", "--rel-tol", "1e-16",
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: row m=0, alpha=0: integrate: ")
+    proc = run_cli("overlap", "--dn-max", "2", "--abs-tol", "1e-30", "--rel-tol", "1e-30")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: row dn=-2: integrate: ")
 
 
 def test_unwritable_output_exit_4(tmp_path):

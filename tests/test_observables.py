@@ -17,13 +17,16 @@ from circle_cs import (
     expectation_P_quadrature,
     expectation_Q,
     expectation_Q_quadrature,
+    expectation_Q_quadrature_table,
     integrate,
     momentum_dispersion,
     normalization_constant,
+    quadrature,
     resolution_check,
     sample_state,
 )
 from circle_cs.observables import (
+    _density_moment,
     _kink_coefficients,
     _kink_expansion,
     _window_coefficients,
@@ -114,6 +117,34 @@ def test_p2_oracle():
         for alpha in (0.0, PI / 2, 2.9):
             label = StateLabel(m, alpha)
             assert abs(expectation_P2(label) - expectation_P2_quadrature(label)) <= 1e-11
+
+
+def _moment_table(seed):
+    """The 7 x 41 labels of `observables --m -3:3` over a seeded alpha range."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-PI, 0.0)
+    alphas = np.linspace(start, start + rng.uniform(0.5 * PI, PI), 41)
+    return [StateLabel(m, float(alpha)) for m in range(-3, 4) for alpha in alphas]
+
+
+@pytest.mark.parametrize("cap", [quadrature._MAX_PANELS, 200])
+def test_moment_table_rows_match_single_rows_bitwise(monkeypatch, cap):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
+    labels = _moment_table(1204)
+    q = expectation_Q_quadrature_table(labels)
+    assert q.tolist() == [expectation_Q_quadrature(label) for label in labels]
+    # the winding-weighted moments gather m per abscissa
+    p2 = _density_moment(labels, lambda phi, w, m: m * m + w * w, None)
+    assert p2.tolist() == [expectation_P2_quadrature(label) for label in labels]
+
+
+def test_moment_table_meets_the_oracle_tolerances():
+    labels = _moment_table(1205)
+    for label, q in zip(labels, expectation_Q_quadrature_table(labels)):
+        assert abs(expectation_Q(label) - q) <= 1e-11
+    p2 = _density_moment(labels, lambda phi, w, m: m * m + w * w, None)
+    for label, value in zip(labels, p2):
+        assert abs(expectation_P2(label) - value) <= 1e-11
 
 
 def test_dispersion_constant():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import circle_cs.states
 from circle_cs import (
     DomainError,
     QuadratureSpec,
@@ -12,8 +11,10 @@ from circle_cs import (
     integrate,
     overlap,
     overlap_quadrature,
+    overlap_quadrature_table,
+    quadrature,
 )
-from circle_cs.quadrature import _G_WEIGHTS, _GAUSS_SLICE, _K_WEIGHTS, _NODES
+from circle_cs.quadrature import _G_WEIGHTS, _GAUSS_SLICE, _K_WEIGHTS, _NODES, integrate_rows
 
 
 def test_rule_degree_exactness():
@@ -171,21 +172,125 @@ def test_panel_budget_raises_with_estimate():
     assert abs(info.value.value - exact) <= 1e-5
 
 
+def _count_rounds(monkeypatch):
+    """Record the (row, lo, hi) of every panel per integrand call of the engine."""
+    rounds = []
+
+    def counting(f, lo, hi, rows):
+        rounds.append(list(zip(rows.tolist(), lo.tolist(), hi.tolist())))
+        return panels(f, lo, hi, rows)
+
+    panels = quadrature._panels
+    monkeypatch.setattr(quadrature, "_panels", counting)
+    return rounds
+
+
+def _overlap_pairs(seed):
+    rng = np.random.default_rng(seed)
+    alpha, beta = rng.uniform(-math.pi, math.pi, 2)
+    return [(StateLabel(0, alpha), StateLabel(dn, beta)) for dn in range(-16, 17)]
+
+
 def test_one_integrand_call_per_round(monkeypatch):
-    calls = [0]
-
-    def counting_integrate(f, *args, **kwargs):
-        def counted(x):
-            calls[0] += 1
-            return f(x)
-
-        return integrate(counted, *args, **kwargs)
-
-    monkeypatch.setattr(circle_cs.states, "integrate", counting_integrate)
+    rounds = _count_rounds(monkeypatch)
     a, b = StateLabel(0, 0.3), StateLabel(256, 1.2)
     result = overlap_quadrature(a, b)
-    assert calls[0] <= 12
+    assert len(rounds) <= 12
     assert abs(result.value - overlap(a, b).value) <= 1e-10
+
+    # The table of `overlap --dn-max 16` admits all 33 rows in its first
+    # round, so it needs no more calls than its slowest row takes alone.
+    pairs = [(a, StateLabel(dn, 1.2)) for dn in range(-16, 17)]
+    alone = []
+    for pair in pairs:
+        rounds.clear()
+        overlap_quadrature(*pair)
+        alone.append(len(rounds))
+    rounds.clear()
+    overlap_quadrature_table(pairs)
+    assert len(rounds) == max(alone)
+    assert {row for row, _, _ in rounds[0]} == set(range(len(pairs)))
+
+
+@pytest.mark.parametrize("cap", [quadrature._MAX_PANELS, 200])
+def test_batch_rows_match_single_rows_bitwise(monkeypatch, cap):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
+    pairs = _overlap_pairs(1201)
+    rounds = _count_rounds(monkeypatch)
+    table = overlap_quadrature_table(pairs)
+    evaluated = [panel for panel_round in rounds for panel in panel_round]
+    restarted = len(evaluated) - len(set(evaluated))
+    assert max(len(panel_round) for panel_round in rounds) <= cap
+    # Under the small cap, rows wait and evicted rows repeat their panels.
+    assert (restarted > 0) == (cap == 200)
+    for pair, result in zip(pairs, table):
+        alone = overlap_quadrature(*pair)
+        assert (result.value, result.err_est) == (alone.value, alone.err_est)
+
+
+def test_panel_sums_do_not_depend_on_the_batch():
+    # Matrix-vector products round differently with the number of panels
+    # that share them; per-panel sums must not.
+    rng = np.random.default_rng(1206)
+    lo = np.sort(rng.uniform(-math.pi, 2.8, 40))
+    hi = lo + rng.uniform(0.01, 0.3, 40)
+    m = rng.integers(-16, 17, 40)
+
+    def f(x, rows):
+        return np.exp(1j * m[rows] * x - (x - 0.3) ** 2)
+
+    together = quadrature._panels(f, lo, hi, np.arange(40))
+    for i in range(40):
+        alone = quadrature._panels(f, lo[i : i + 1], hi[i : i + 1], np.array([i]))
+        assert (alone[0][0], alone[1][0]) == (together[0][i], together[1][i])
+
+
+def test_conjugate_rows_conjugate_bitwise():
+    pairs = _overlap_pairs(1202)
+    table = overlap_quadrature_table([*pairs, *((b, a) for a, b in pairs)])
+    for forward, backward in zip(table, table[len(pairs):]):
+        assert backward.value == forward.value.conjugate()
+        assert backward.err_est == forward.err_est
+
+
+def test_table_meets_the_oracle_tolerance():
+    pairs = _overlap_pairs(1203)
+    for (a, b), result in zip(pairs, overlap_quadrature_table(pairs)):
+        assert abs(result.value - overlap(a, b).value) <= 1e-10
+
+
+def test_rows_keep_their_own_split_points():
+    values, errs = integrate_rows(
+        lambda x, rows: np.abs(x - 0.25 * rows), -1.0, 1.0,
+        splits=[(), (0.25,), (0.5,)],
+    )
+    exact = [1.0, 1.0625, 1.25]
+    assert np.all(np.abs(values - exact) <= 1e-12)
+    assert errs[1] <= 1e-14 and errs[2] <= 1e-14  # kink declared: no refinement
+
+
+@pytest.mark.parametrize("point", [1.5, -1.0, float("nan")])
+def test_row_split_point_outside_raises(point):
+    with pytest.raises(DomainError):
+        integrate_rows(lambda x, rows: x, -1.0, 1.0, splits=[(0.5,), (point,)])
+
+
+def test_failure_names_the_lowest_failing_row():
+    # Rows 1 and 3 hit the inverse-square-root singularity at depth 12;
+    # rows 0 and 2 are smooth.  The batch fails on row 1, with the value
+    # and err_est row 1 has alone.
+    spec = QuadratureSpec(max_depth=12)
+
+    def f(x, rows):
+        return np.where(rows % 2 == 1, 1.0 / np.sqrt(x), np.exp(-x * x))
+
+    with pytest.raises(ToleranceNotMet) as batch:
+        integrate_rows(f, 0.0, 1.0, spec, splits=[()] * 4)
+    with pytest.raises(ToleranceNotMet) as alone:
+        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec)
+    assert batch.value.row == 1
+    assert alone.value.row == 0
+    assert (batch.value.value, batch.value.err_est) == (alone.value.value, alone.value.err_est)
 
 
 def test_singularity_at_declared_split_is_never_sampled():
