@@ -359,13 +359,15 @@ _INV_SQRT_TWO_PI = 1.0 / math.sqrt(_TWO_PI)
 def _window_coefficients(p_max: int) -> np.ndarray:
     """ghat_p = e^{-p^2/2} Re erf((pi + ip)/sqrt 2)/sqrt(2 pi), |p| <= p_max.
 
-    The phase e^{-i pi p} must be the exact sign (-1)^p, and t = p/sqrt 2
-    is taken in extended precision (docs/formulas.md, section 4).
+    The phase e^{-i pi p} must be the exact sign (-1)^p and e^{-p^2/2} is
+    formed from integer p (docs/formulas.md, section 4); the longdouble
+    t = p/sqrt 2 keeps the kernel on its extended route.
     """
     p = np.arange(0, p_max + 1)
     parity = np.where(p % 2 == 0, 1.0, -1.0)
+    gauss = np.exp(-0.5 * p * p)
     t = p / np.sqrt(np.longdouble(2.0))
-    scaled = _scaled_re_erf(math.pi / math.sqrt(2.0), t, parity).astype(float)
+    scaled = _scaled_re_erf(math.pi / math.sqrt(2.0), t, parity, gauss).astype(float)
     half = _INV_SQRT_TWO_PI * scaled
     return np.concatenate((half[:0:-1], half))
 

@@ -90,7 +90,8 @@ def _panel(x: float, y: float, u: int, c: float) -> complex:
     """sqrt(pi) e^{-y^2} e^{iuc} e^{-u^2/4} Re erf(x + iu/2), the shape of both
     panels; exactly 0 at x = 0, where the erf argument is purely imaginary.
     """
-    scaled = 0.0 if x == 0.0 else _scaled_re_erf(x, 0.5 * u, cmath.exp(-1j * x * u))
+    gauss = math.exp(-0.25 * u * u)
+    scaled = 0.0 if x == 0.0 else _scaled_re_erf(x, 0.5 * u, cmath.exp(-1j * x * u), gauss)
     return _SQRT_PI * math.exp(-y * y) * cmath.exp(1j * u * c) * scaled
 
 

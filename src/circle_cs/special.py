@@ -25,10 +25,10 @@ below 1e-22 relative.  Outside the disk,
 where w is the scaled complement exp(-t^2) erfc(-it), evaluated by a 48-term
 rational approximation on the (closed) upper half plane.  Its coefficients
 come from tools/gen_faddeeva_coeffs.py and are frozen here as decimal
-strings.  The Horner recurrence runs in the precision of its argument: in
-extended precision for erf_complex and the window coefficients, so the final
-rounding to double dominates the error there, and in plain Python doubles
-for a Python complex, which is how the scalar overlap panels call it.
+strings.  The one Horner recurrence takes its constants by the argument's
+dtype: extended for a clongdouble (erf_complex, the window coefficients),
+so the final rounding to double dominates the error there, and double for
+a Python complex (the scalar overlap panels) or a complex128 array.
 
 Accuracy, measured against a 50-digit reference over the box: worst relative
 error 2.2e-16, on both sides of the |z| = 3 seam.  erf has isolated complex
@@ -105,60 +105,47 @@ _W_DIGITS = (
     "-1.7229929424733809759784349582e-18",
 )
 
-# The constants in extended precision, and rounded once to double for
-# Python complex arguments.
-_INV_SQRT_PI = np.longdouble(_INV_SQRT_PI_DIGITS)
-_L = np.longdouble(_L_DIGITS)
-_W_COEFFS = tuple(np.longdouble(s) for s in _W_DIGITS)
-_INV_SQRT_PI_F = float(_INV_SQRT_PI_DIGITS)
-_L_F = float(_L_DIGITS)
-_W_COEFFS_F = tuple(float(s) for s in _W_DIGITS)
+# 1/sqrt(pi), L and the coefficients once per precision, chosen by the
+# argument's dtype; a Python complex has no dtype and takes the double set.
+_EXTENDED, _DOUBLE = (
+    (real(_INV_SQRT_PI_DIGITS), real(_L_DIGITS), tuple(map(real, _W_DIGITS)))
+    for real in (np.longdouble, float)
+)
+_BY_DTYPE = {np.dtype(np.clongdouble): _EXTENDED}
 
 
 def _faddeeva_upper(zeta):
     """Scaled complement w(zeta) for Im(zeta) >= 0, in zeta's precision.
 
-    One rational approximation, two precisions; callers own the domain
-    check.  A Python complex runs the recurrence in plain double arithmetic
-    on the double copies of the constants and returns a complex, with no
-    numpy call; that is the scalar overlap route, where numpy dispatch on a
-    0-d array would cost several times the arithmetic.  Anything else (a
-    clongdouble from erf_complex, a longdouble array from the window
-    coefficients) runs in extended precision and returns clongdouble.
+    Callers own the domain check.  A clongdouble, scalar or array, runs on
+    the extended constants; a Python complex or a complex128 array runs on
+    the double ones and keeps its type, a Python complex with no numpy call
+    (numpy dispatch on a 0-d array would cost several times the arithmetic).
     """
-    if isinstance(zeta, complex):
-        den = _L_F - 1j * zeta
-        big_z = (_L_F + 1j * zeta) / den
-        poly = 0j
-        for c in reversed(_W_COEFFS_F):
-            poly = poly * big_z + c
-        return 2.0 * poly / (den * den) + _INV_SQRT_PI_F / den
-    zl = np.asarray(zeta, dtype=np.clongdouble)
-    den = _L - 1j * zl
-    big_z = (_L + 1j * zl) / den
-    poly = np.zeros_like(zl)
-    for c in reversed(_W_COEFFS):
+    inv_sqrt_pi, ell, coeffs = _BY_DTYPE.get(getattr(zeta, "dtype", None), _DOUBLE)
+    den = ell - 1j * zeta
+    big_z = (ell + 1j * zeta) / den
+    poly = 0j
+    for c in reversed(coeffs):
         poly = poly * big_z + c
-    return 2.0 * poly / (den * den) + _INV_SQRT_PI / den
+    return 2.0 * poly / (den * den) + inv_sqrt_pi / den
 
 
-def _scaled_re_erf(x, t, phase):
-    """e^{-t^2} Re erf(x + it) for real x >= 0 and t, scalar or ndarray.
+def _scaled_re_erf(x, t, phase, gauss):
+    """e^{-t^2} Re erf(x + it) for a real float x >= 0 and t, scalar or ndarray.
 
     erf(z) = 1 - e^{-z^2} w(iz) with iz = -t + ix in the upper half plane
     gives e^{-t^2} - e^{-x^2} Re[e^{-2ixt} w(-t + ix)], whose terms are both
-    bounded for every t.  The caller passes phase = e^{-2ixt}, so that it can
-    be exact where it is known in closed form (a sign, for the window
-    coefficients).  Python floats take w's double route and return a float
-    (docs/formulas.md, section 6).  Otherwise e^{-t^2} is a double
-    exponential of t*t formed in t's precision, so an extended-precision
-    t = p/sqrt 2 gives exactly e^{-p^2/2}; the rest keeps w's extended
-    precision, and callers round.
+    bounded for every t.  The caller passes phase = e^{-2ixt} and
+    gauss = e^{-t^2}, each exact where its closed form allows (a sign and
+    e^{-p^2/2} from integer p, for the window coefficients).  w runs in the
+    precision of -t + ix (docs/formulas.md, section 6): a float t gives a
+    float, a longdouble t keeps w extended and callers round.  The double
+    route is 7.4e-16 absolute, 2.7e-14 relative, at small x with |t| <= 1;
+    the overlap panels are immune, a new caller at small x must check.
     """
     w = _faddeeva_upper(-t + 1j * x)
-    if isinstance(w, complex):
-        return math.exp(-t * t) - math.exp(-x * x) * (phase * w).real
-    return np.exp(-t * t, dtype=float) - np.exp(-x * x) * (phase * w).real
+    return gauss - math.exp(-x * x) * (phase * w).real
 
 
 def _erf_series(z: complex) -> complex:
@@ -174,7 +161,7 @@ def _erf_series(z: complex) -> complex:
         term = -term * z2 / k
         if abs(piece) < 1e-22 * abs(acc) or k > 200:
             break
-    return complex(2.0 * _INV_SQRT_PI * acc)
+    return complex(2.0 * _EXTENDED[0] * acc)
 
 
 def _erf_outer(z: complex) -> complex:

@@ -95,11 +95,11 @@ def coherent_eval(label: StateLabel, phi: float) -> complex:
 
 
 def _amplitudes(m, alpha, phi: np.ndarray) -> np.ndarray:
-    """The wave function of label (m, alpha) at phi; m and alpha may be
-    arrays of phi's shape, one label per point."""
-    phi_c = _wrap_array(phi)
-    d = _wrap_array(phi_c - alpha)
-    return normalization_constant() * np.exp(1j * m * phi_c) * np.exp(-0.5 * d * d)
+    """The wave function of label (m, alpha) at phi in [-pi, pi]; m and alpha
+    may be arrays of phi's shape, one label per point.  Only the distance
+    phi - alpha is wrapped: every caller already passes phi in range."""
+    d = _wrap_array(phi - alpha)
+    return normalization_constant() * np.exp(1j * m * phi) * np.exp(-0.5 * d * d)
 
 
 def _label_arrays(labels) -> tuple:

@@ -103,19 +103,24 @@ def test_box_corner_is_inside():
 
 def test_kernel_runs_in_its_arguments_precision():
     # A Python complex stays a Python complex end to end (no numpy call on
-    # the scalar overlap route); everything else stays extended.
+    # the scalar overlap route), a complex128 array stays complex128, and a
+    # clongdouble, scalar or array, stays extended.
     assert type(_faddeeva_upper(complex(-1.5, 0.7))) is complex
-    assert type(_scaled_re_erf(0.7, -1.5, cmath.exp(2.1j))) is float
+    assert type(_scaled_re_erf(0.7, -1.5, cmath.exp(2.1j), math.exp(-2.25))) is float
+    assert _faddeeva_upper(np.array([-1.5 + 0.7j, 0.3j])).dtype == np.complex128
     assert type(_faddeeva_upper(np.clongdouble(-1.5 + 0.7j))) is np.clongdouble
-    t = np.arange(3) / np.sqrt(np.longdouble(2.0))
-    assert _scaled_re_erf(1.0, t, 1.0).dtype == np.longdouble
+    p = np.arange(3)
+    t = p / np.sqrt(np.longdouble(2.0))
+    assert _scaled_re_erf(1.0, t, 1.0, np.exp(-0.5 * p * p)).dtype == np.longdouble
 
 
 def test_scaled_re_erf_against_mpmath():
     # The overlap panels' arguments: x in [0, pi], t = u/2 for winding gaps
     # |u| <= 16 and, log-uniformly, up to 1e5, with the phase formed as the
-    # panels form it.  Measured worst absolute error on these points:
-    # 2.8e-16 for floats (double w), 1.1e-16 for longdouble (extended w).
+    # panels form it, and e^{-t^2} passed as the callers pass it.  Measured
+    # worst absolute error on these points: 2.8e-16 for floats (double w),
+    # 1.1e-16 for a longdouble t with a float x, as the window coefficients
+    # call it (extended w).
     rng = np.random.default_rng(2026)
     for i in range(300):
         x = float(rng.uniform(0.0, math.pi))
@@ -125,8 +130,9 @@ def test_scaled_re_erf_against_mpmath():
             u = int(rng.choice((-1, 1))) * int(round(10 ** rng.uniform(0.0, 5.0)))
         phase = cmath.exp(-1j * x * u)
         ref = scaled_re_erf_reference(x, 0.5 * u)
-        assert abs(_scaled_re_erf(x, 0.5 * u, phase) - ref) <= 5e-16, (x, u)
-        ext = _scaled_re_erf(np.longdouble(x), np.longdouble(0.5 * u), phase)
+        gauss = math.exp(-0.25 * u * u)
+        assert abs(_scaled_re_erf(x, 0.5 * u, phase, gauss) - ref) <= 5e-16, (x, u)
+        ext = _scaled_re_erf(x, np.longdouble(0.5 * u), phase, gauss)
         assert abs(float(ext) - ref) <= 2e-16, (x, u)
 
 

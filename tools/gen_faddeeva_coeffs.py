@@ -10,17 +10,21 @@ coefficients a_n decay geometrically, and
     Z = (L+iz)/(L-iz).
 
 The DFT runs at 50 digits; N = 48 puts the coefficient tail near 1e-18,
-which together with 80-bit evaluation arithmetic leaves the final rounding
-to double as the dominant error (measured ~1e-16 on an upper-half grid).
+so with 80-bit evaluation arithmetic the final rounding to double is the
+dominant error of the extended route.
 
-Requires mpmath.  Prints L and the 48 coefficients at 30 digits in the
-order special.py embeds them, then maps the achieved w accuracy with the
-recurrence run in double-extended and in plain double arithmetic, on a
-coarse grid over the kernel's range and on a fine patch near the origin,
-where the double route is worst.
+Requires mpmath, and circle_cs importable (`pip install -e .` or
+`PYTHONPATH=src`).  Prints L and the 48 coefficients at 30 digits in the
+order special.py embeds them, then maps the accuracy of the kernel that
+ships, special._faddeeva_upper, on a clongdouble argument (extended route)
+and on a Python complex (double route), on a coarse grid over the kernel's
+range and on a fine patch near the origin, where the double route is worst.
 """
 
 import mpmath as mp
+import numpy as np
+
+from circle_cs import special
 
 N = 48
 DPS = 50
@@ -56,49 +60,17 @@ def main():
     for c in coefs:
         print(f'    "{mp.nstr(c, 30)}",')
 
-    # Accuracy map: evaluate the rational form in double-extended, as
-    # special.py does for numpy arguments, and in plain doubles, as it does
-    # for Python complex ones, and compare both against mpmath on an
-    # upper-half-plane grid.
-    import numpy as np
-
-    digits = [mp.nstr(c, 25) for c in coefs]
-    ld = np.clongdouble(mp.nstr(ell, 25))
-    a = [np.longdouble(s) for s in digits]
-    inv_sqrt_pi_digits = "0.564189583547756286948079451560772585844050629328998856844086"
-    inv_sqrt_pi = np.longdouble(inv_sqrt_pi_digits)
-    ell_d = float(mp.nstr(ell, 25))
-    a_d = [float(s) for s in digits]
-    inv_sqrt_pi_d = float(inv_sqrt_pi_digits)
-
-    def w_rational(zeta):
-        zl = np.clongdouble(zeta)
-        den = ld - 1j * zl
-        big_z = (ld + 1j * zl) / den
-        poly = np.clongdouble(a[-1])
-        for c in a[-2::-1]:
-            poly = poly * big_z + c
-        return 2 * poly / (den * den) + inv_sqrt_pi / den
-
-    def w_rational_double(zeta):
-        den = ell_d - 1j * zeta
-        big_z = (ell_d + 1j * zeta) / den
-        poly = a_d[-1] + 0j
-        for c in a_d[-2::-1]:
-            poly = poly * big_z + c
-        return 2 * poly / (den * den) + inv_sqrt_pi_d / den
-
+    # Accuracy map: the shipped kernel in each precision against mpmath on
+    # the upper half plane.  Every caller rounds w's result to double, so
+    # both results are compared, rounded, with w rounded to double.
     def worst_errors(res, ims):
         worst = {"extended": (0.0, None), "double": (0.0, None)}
         for re in res:
             for im in ims:
                 zeta = complex(re, im)
                 ref = complex(w_reference(zeta))
-                for name, got in (
-                    ("extended", complex(w_rational(zeta))),
-                    ("double", w_rational_double(zeta)),
-                ):
-                    rel = abs(got - ref) / abs(ref)
+                for name, arg in (("extended", np.clongdouble(zeta)), ("double", zeta)):
+                    rel = abs(complex(special._faddeeva_upper(arg)) - ref) / abs(ref)
                     if rel > worst[name][0]:
                         worst[name] = (rel, zeta)
         return worst
