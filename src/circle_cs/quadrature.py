@@ -3,7 +3,7 @@
 One rule, used everywhere in the package the closed forms need independent
 checking: the 7-point Gauss rule embedded in the 15-point Kronrod extension.
 All nodes are interior, so integrands may be singular at panel boundaries
-(declare such points via split_points and the engine never samples them).
+(declare such points as split points and the engine never samples them).
 
 Integrands are vectorized: f receives an ndarray of abscissae and must
 return an array of the same shape (a scalar return is broadcast, so
@@ -12,8 +12,9 @@ constants work too).
 One engine, integrate_rows, refines a batch of integrals at once, each
 row with its own split points, panels, tolerance test and error estimate;
 every round evaluates the new panels of all rows in one call f(x, rows).
-Each row comes out bit for bit as it does alone, and the batch never holds
-more than _MAX_PANELS panels.  integrate() is a batch of one.
+Each row comes out bit for bit as it does alone, each panel is evaluated
+once, and no call takes more than _MAX_PANELS panels: a batch over the cap
+finishes its lowest rows first.  integrate() is a batch of one.
 
 The node/weight tables were generated from first principles by
 tools/gen_gauss_kronrod.py in 60-digit arithmetic and validated by degree
@@ -24,7 +25,7 @@ rounded to the decimal strings below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,24 +64,22 @@ _GAUSS_SLICE = slice(1, 14, 2)
 del _pos, _wk, _g
 
 # Hard budget on the panel count, independent of max_depth; hitting it
-# raises ToleranceNotMet rather than looping for minutes.  A batch holds at
-# most this many panels across all its rows.
+# raises ToleranceNotMet rather than looping for minutes.  No integrand call
+# of a batch takes more panels than this, either.
 _MAX_PANELS = 16384
+
+# A batch holding more than _MAX_PANELS panels first finishes its lowest
+# 1/_SPLIT rows (at least one) on their own.
+_SPLIT = 16
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and panel policy for integrate().
-
-    split_points are abscissae where the integrand is non-smooth (or
-    singular); they become initial panel boundaries and are never sampled.
-    They must lie strictly inside the integration interval.
-    """
+    """Tolerances and panel policy for integrate()."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_depth: int = 40
-    split_points: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
@@ -89,11 +88,6 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
         if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
             raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth}")
-        pts = tuple(sorted(float(p) for p in self.split_points))
-        for p in pts:
-            if not math.isfinite(p):
-                raise DomainError(f"non-finite split point {p}")
-        object.__setattr__(self, "split_points", pts)
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
@@ -124,25 +118,29 @@ def _not_met(reason: str, value: complex, err: float, row: int) -> ToleranceNotM
     )
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
+def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None,
+              split_points=()):
     """Adaptively integrate f over [a, b] to the spec's tolerances.
 
     Returns (value, err_est) with err_est <= max(abs_tol, rel_tol*|value|).
-    Refinement runs in rounds: each round sums every panel in interval
-    order and accepts the totals if they meet the tolerance.  Otherwise it
-    bisects every panel whose |K15 - G7| exceeds its width's share of the
-    tolerance and evaluates all the new panels in one call to f.  A panel at
-    max_depth, or one too narrow to have a midpoint strictly inside it, is
-    frozen: it keeps its estimate, and only the tolerance its error leaves
-    is shared among the others.  The result is a deterministic function of
-    (f, a, b, spec) alone.  This is integrate_rows with a single row.
+    split_points are abscissae where f is non-smooth (or singular); they
+    become initial panel boundaries and are never sampled.  Refinement runs
+    in rounds: each round sums every panel in interval order and accepts
+    the totals if they meet the tolerance.  Otherwise it bisects every
+    panel whose |K15 - G7| exceeds its width's share of the tolerance and
+    evaluates all the new panels in one call to f.  A panel at max_depth,
+    or one too narrow to have a midpoint strictly inside it, is frozen: it
+    keeps its estimate, and only the tolerance its error leaves is shared
+    among the others.  The result is a deterministic function of
+    (f, a, b, spec, split_points) alone.  This is integrate_rows with a
+    single row.
 
     Raises DomainError for a >= b, non-finite limits, or split points not
     strictly inside (a, b); raises ToleranceNotMet (carrying the best value
     and its error estimate) when only frozen panels are left to bisect or
     the panel budget runs out first.
     """
-    values, err_ests = integrate_rows(lambda x, rows: f(x), a, b, spec)
+    values, err_ests = integrate_rows(lambda x, rows: f(x), a, b, spec, (split_points,))
     return complex(values[0]), float(err_ests[0])
 
 
@@ -153,8 +151,8 @@ def integrate_rows(f, a: float, b: float, spec: QuadratureSpec | None = None,
     f(x, rows) gets the abscissae of every open panel of every row, with
     the row of each abscissa in the same-shaped int array rows, and returns
     each row's integrand there.  splits holds one tuple of split points per
-    row; a row's panels start at those and at spec.split_points.  Returns
-    (values, err_ests), arrays with one entry per row.
+    row, where that row's initial panels start.  Returns (values, err_ests),
+    arrays with one entry per row.
 
     Every row keeps its own panels, tolerance test, err_est and panel
     budget, and each round evaluates the new panels of all rows in one
@@ -162,12 +160,12 @@ def integrate_rows(f, a: float, b: float, spec: QuadratureSpec | None = None,
     rule sums, per-row segment totals), so every row comes out bit for bit
     as it does alone, whatever the batch around it.
 
-    At most _MAX_PANELS panels are held across the batch.  Rows are
-    admitted in index order, and grow in index order while the total fits;
-    the first row that does not fit and every row after it wait a round,
-    and no row is admitted in such a round.  When the lowest running row
-    cannot grow, the highest rows are evicted until it can; they restart
-    from their initial panels later and repeat the same arithmetic.
+    A round that starts with more than _MAX_PANELS panels and more than
+    one row first runs the lowest 1/_SPLIT of the rows to completion, as a
+    batch of their own, and then carries on with the others, whose panels
+    wait unchanged.  So no call to f takes more than _MAX_PANELS panels
+    (unless one row's split points alone make more), and every panel is
+    evaluated exactly once.
 
     Raises DomainError as integrate() does, for any row.  When a row fails,
     the rows above it are dropped; once every row below it has finished,
@@ -183,49 +181,45 @@ def integrate_rows(f, a: float, b: float, spec: QuadratureSpec | None = None,
         raise DomainError(f"integration limits must satisfy a < b, got ({a}, {b})")
     edges = []
     for row_points in splits:
-        points = sorted({*spec.split_points, *(float(p) for p in row_points)})
+        points = sorted({float(p) for p in row_points})
         for p in points:
             if not a < p < b:
                 raise DomainError(f"split point {p} not strictly inside ({a}, {b})")
-        edges.append(np.array((a, *points, b)))
+        edges.append((a, *points, b))
 
-    cap = _MAX_PANELS
     values = np.zeros(len(edges), dtype=complex)
     err_ests = np.zeros(len(edges))
-    pending = list(range(len(edges)))
+    row = np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges])
+    lo = np.array([x for e in edges for x in e[:-1]])
+    hi = np.array([x for e in edges for x in e[1:]])
+    _refine(f, spec, values, err_ests, row, lo, hi, np.zeros_like(row),
+            np.zeros(row.size, dtype=complex), np.zeros(row.size),
+            np.ones(row.size, dtype=bool))
+    return values, err_ests
+
+
+def _refine(f, spec, values, err_ests, row, lo, hi, depth, val, err, fresh):
+    """Refine the given panels until their rows finish, into values and err_ests.
+
+    The panels are grouped by row in ascending order and in interval order
+    within a row; fresh marks those not yet evaluated.  Raises
+    ToleranceNotMet for the lowest failing row.
+    """
+    cap = _MAX_PANELS
     failed = None
-    admit = True
-    # The panels of the running rows, grouped by row in ascending order and
-    # in interval order within a row; fresh marks those not yet evaluated.
-    row = depth = np.zeros(0, dtype=int)
-    lo = hi = err = np.zeros(0)
-    val = np.zeros(0, dtype=complex)
-    fresh = np.zeros(0, dtype=bool)
-    while True:
-        if admit:
-            total, take = row.size, 0
-            for r in pending:
-                if total + edges[r].size - 1 > cap and total:
-                    break
-                total += edges[r].size - 1
-                take += 1
-            admitted, pending = pending[:take], pending[take:]
-            if admitted:
-                sizes = [edges[r].size - 1 for r in admitted]
-                row = np.concatenate((row, np.repeat(admitted, sizes)))
-                lo = np.concatenate((lo, *(edges[r][:-1] for r in admitted)))
-                hi = np.concatenate((hi, *(edges[r][1:] for r in admitted)))
-                depth, val, err = (
-                    np.concatenate((x, np.zeros(sum(sizes), dtype=x.dtype)))
-                    for x in (depth, val, err)
-                )
-                fresh = np.concatenate((fresh, np.ones(sum(sizes), dtype=bool)))
-        if not row.size:
-            break
+    while row.size:
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        if row.size > cap and starts.size > 1:
+            # Finish the lowest rows first (a failure there is the lowest);
+            # the others wait with their panels as they stand.
+            state = (row, lo, hi, depth, val, err, fresh)
+            cut = starts[max(1, starts.size // _SPLIT)]
+            _refine(f, spec, values, err_ests, *(x[:cut] for x in state))
+            row, lo, hi, depth, val, err, fresh = (x[cut:] for x in state)
+            continue
         val[fresh], err[fresh] = _panels(f, lo[fresh], hi[fresh], row[fresh])
 
-        # One segment per running row: its totals and its tolerance test.
-        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        # One segment per row: its totals and its tolerance test.
         ids = row[starts]
         counts = np.diff(starts, append=row.size)
         seg = np.repeat(np.arange(ids.size), counts)
@@ -242,39 +236,20 @@ def integrate_rows(f, a: float, b: float, spec: QuadratureSpec | None = None,
         # Frozen panels keep their error; the live ones share what is left.
         spare = tol - np.add.reduceat(np.where(live, 0.0, err), starts)
         live_width = np.add.reduceat(np.where(live, width, 0.0), starts)
-        split = live & ~done[seg] & (err * live_width[seg] > spare[seg] * width)
+        split = live & (err * live_width[seg] > spare[seg] * width)
         need = np.add.reduceat(split.astype(int), starts)
         stuck = ~done & ((spare <= 0.0) | (need == 0))
         over = ~done & ~stuck & (counts + need > cap)
-        grow = ~done & ~stuck & ~over
+        keep = ~done
         if (stuck | over).any():
             k = np.flatnonzero(stuck | over)[0]
             reason = (
                 "the error left is held by frozen panels" if stuck[k]
                 else f"panel budget {cap} exhausted"
             )
-            failed = (reason, complex(value[k]), float(err_est[k]), int(ids[k]))
-            grow[k:] = False
-            pending = []
-
-        # Rows grow in index order while the total fits; when the lowest
-        # cannot, the highest are evicted until it can.
-        order = np.flatnonzero(grow)
-        total = int(counts[order].sum())
-        evicted = 0
-        while order.size and total + need[order[0]] > cap:
-            total -= counts[order[-1]]
-            order = order[:-1]
-            evicted += 1
-        pending = ids[grow][order.size:].tolist() + pending
-        fits = total + np.cumsum(need[order]) <= cap
-        growing = order[: fits.size if fits.all() else int(np.argmin(fits))]
-        admit = not evicted and growing.size == order.size
-        keep = np.zeros(ids.size, dtype=bool)
-        keep[order] = True
-        grown = np.zeros(ids.size, dtype=bool)
-        grown[growing] = True
-        split &= grown[seg]
+            failed = _not_met(reason, complex(value[k]), float(err_est[k]), int(ids[k]))
+            keep[k:] = False
+        split &= keep[seg]
 
         # Each split panel becomes two adjacent children, which keeps the
         # arrays in row and interval order; finished rows drop out.
@@ -286,7 +261,5 @@ def integrate_rows(f, a: float, b: float, spec: QuadratureSpec | None = None,
         lo[last[split]] = mid[split]
         hi[last[split] - 1] = mid[split]
         fresh = np.repeat(split, reps)
-
     if failed is not None:
-        raise _not_met(*failed)
-    return values, err_ests
+        raise failed

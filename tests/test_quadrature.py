@@ -8,6 +8,7 @@ from circle_cs import (
     QuadratureSpec,
     StateLabel,
     ToleranceNotMet,
+    expectation_Q_quadrature_table,
     integrate,
     overlap,
     overlap_quadrature,
@@ -74,17 +75,17 @@ def test_split_point_removes_kink_refinement():
     def counting(counter):
         def f(x):
             counter[0] += x.size
-            return np.abs(x)
+            return np.abs(x) + np.abs(x - 0.3)
 
         return f
 
     v1, _ = integrate(counting(evals_plain), -1.0, 1.0)
-    spec = QuadratureSpec(split_points=(0.0,))
-    v2, _ = integrate(counting(evals_split), -1.0, 1.0, spec)
-    assert abs(v1 - 1.0) <= 1e-12
-    assert abs(v2 - 1.0) <= 1e-14
-    # with the kink declared, each side is smooth and two panels suffice
-    assert evals_split[0] == 30
+    # unsorted and repeated points: the engine sorts and merges them
+    v2, _ = integrate(counting(evals_split), -1.0, 1.0, split_points=(0.3, 0.0, 0.3))
+    assert abs(v1 - 2.09) <= 1e-12
+    assert abs(v2 - 2.09) <= 1e-14
+    # with the kinks declared, each panel is smooth and three panels suffice
+    assert evals_split[0] == 45
     assert evals_plain[0] > evals_split[0]
 
 
@@ -198,7 +199,7 @@ def test_one_integrand_call_per_round(monkeypatch):
     assert len(rounds) <= 12
     assert abs(result.value - overlap(a, b).value) <= 1e-10
 
-    # The table of `overlap --dn-max 16` admits all 33 rows in its first
+    # The table of `overlap --dn-max 16` evaluates all 33 rows in its first
     # round, so it needs no more calls than its slowest row takes alone.
     pairs = [(a, StateLabel(dn, 1.2)) for dn in range(-16, 17)]
     alone = []
@@ -221,8 +222,10 @@ def test_batch_rows_match_single_rows_bitwise(monkeypatch, cap):
     evaluated = [panel for panel_round in rounds for panel in panel_round]
     restarted = len(evaluated) - len(set(evaluated))
     assert max(len(panel_round) for panel_round in rounds) <= cap
-    # Under the small cap, rows wait and evicted rows repeat their panels.
-    assert (restarted > 0) == (cap == 200)
+    # Every panel is evaluated once.  The uncapped table takes 6 calls; the
+    # small cap splits the batch, which takes more.
+    assert restarted == 0
+    assert len(rounds) == 6 if cap == 16384 else len(rounds) > 6
     for pair, result in zip(pairs, table):
         alone = overlap_quadrature(*pair)
         assert (result.value, result.err_est) == (alone.value, alone.err_est)
@@ -269,23 +272,59 @@ def test_rows_keep_their_own_split_points():
     assert errs[1] <= 1e-14 and errs[2] <= 1e-14  # kink declared: no refinement
 
 
-@pytest.mark.parametrize("point", [1.5, -1.0, float("nan")])
+@pytest.mark.parametrize("point", [1.5, -1.0, 1.0, float("nan")])
 def test_row_split_point_outside_raises(point):
     with pytest.raises(DomainError):
         integrate_rows(lambda x, rows: x, -1.0, 1.0, splits=[(0.5,), (point,)])
+    with pytest.raises(DomainError):
+        integrate(lambda x: x, -1.0, 1.0, split_points=(point,))
 
 
-def test_failure_names_the_lowest_failing_row():
-    # Rows 1 and 3 hit the inverse-square-root singularity at depth 12;
-    # rows 0 and 2 are smooth.  The batch fails on row 1, with the value
-    # and err_est row 1 has alone.
+def test_empty_batch():
+    values, errs = integrate_rows(lambda x, rows: x, 0.0, 1.0, None, [])
+    assert values.shape == errs.shape == (0,)
+    assert overlap_quadrature_table([]) == []
+    assert expectation_Q_quadrature_table([]).shape == (0,)
+
+
+def test_initial_panels_over_the_cap(monkeypatch):
+    # 150 rows of 4-8 initial panels each hold about 900 panels before any
+    # is evaluated, far over a cap of 200.
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 200)
+    rng = np.random.default_rng(1207)
+    m = rng.integers(-8, 9, 150)
+    c = rng.uniform(-2.0, 2.0, 150)
+    splits = [tuple(rng.uniform(-3.0, 3.0, rng.integers(3, 8))) for _ in range(150)]
+
+    def f(x, rows):
+        return np.exp(1j * m[rows] * x - (x - c[rows]) ** 2) * np.abs(x - c[rows])
+
+    rounds = _count_rounds(monkeypatch)
+    values, errs = integrate_rows(f, -math.pi, math.pi, splits=splits)
+    evaluated = [panel for panel_round in rounds for panel in panel_round]
+    assert max(len(panel_round) for panel_round in rounds) <= 200
+    assert len(evaluated) == len(set(evaluated))
+    for i, points in enumerate(splits):
+        alone = integrate(lambda x: f(x, np.full(x.shape, i)), -math.pi, math.pi,
+                          split_points=points)
+        assert (values[i], errs[i]) == alone
+
+
+@pytest.mark.parametrize("cap", [quadrature._MAX_PANELS, 40])
+def test_failure_names_the_lowest_failing_row(monkeypatch, cap):
+    # The odd rows hit the inverse-square-root singularity at depth 12; the
+    # even rows are smooth.  Together the odd rows outgrow a cap of 40.  The
+    # batch fails on row 1, with the value and err_est row 1 has alone.
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
     spec = QuadratureSpec(max_depth=12)
 
     def f(x, rows):
         return np.where(rows % 2 == 1, 1.0 / np.sqrt(x), np.exp(-x * x))
 
+    rounds = _count_rounds(monkeypatch)
     with pytest.raises(ToleranceNotMet) as batch:
-        integrate_rows(f, 0.0, 1.0, spec, splits=[()] * 4)
+        integrate_rows(f, 0.0, 1.0, spec, splits=[()] * 8)
+    assert max(len(panel_round) for panel_round in rounds) <= cap
     with pytest.raises(ToleranceNotMet) as alone:
         integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec)
     assert batch.value.row == 1
@@ -294,7 +333,7 @@ def test_failure_names_the_lowest_failing_row():
 
 
 def test_singularity_at_declared_split_is_never_sampled():
-    spec = QuadratureSpec(max_depth=10, split_points=(0.0,))
+    spec = QuadratureSpec(max_depth=10)
 
     def f(x):
         assert not np.any(x == 0.0)
@@ -302,7 +341,7 @@ def test_singularity_at_declared_split_is_never_sampled():
             return 1.0 / np.sqrt(np.abs(x))
 
     with pytest.raises(ToleranceNotMet):
-        integrate(f, -1.0, 1.0, spec)
+        integrate(f, -1.0, 1.0, spec, split_points=(0.0,))
 
 
 @pytest.mark.parametrize(
@@ -312,8 +351,6 @@ def test_singularity_at_declared_split_is_never_sampled():
         (2.0, 1.0, {}),
         (float("nan"), 1.0, {}),
         (0.0, float("inf"), {}),
-        (0.0, 1.0, {"split_points": (1.5,)}),
-        (0.0, 1.0, {"split_points": (0.0,)}),
     ],
 )
 def test_domain_errors(a, b, spec_kwargs):
@@ -329,14 +366,9 @@ def test_domain_errors(a, b, spec_kwargs):
         {"rel_tol": -1.0},
         {"max_depth": 0},
         {"max_depth": 2.5},
-        {"split_points": (float("nan"),)},
+        {"rel_tol": float("nan")},
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(DomainError):
         QuadratureSpec(**kwargs)
-
-
-def test_split_points_are_sorted_on_construction():
-    spec = QuadratureSpec(split_points=(0.5, -0.5, 0.1))
-    assert spec.split_points == (-0.5, 0.1, 0.5)
