@@ -351,11 +351,17 @@ def test_singularity_at_declared_split_is_never_sampled():
         (2.0, 1.0, {}),
         (float("nan"), 1.0, {}),
         (0.0, float("inf"), {}),
+        (0.0, 1.0, {"split_points": (1.5,)}),
+        (0.0, 1.0, {"split_points": (0.0,)}),
     ],
 )
 def test_domain_errors(a, b, spec_kwargs):
+    # split_points is integrate's argument, not a QuadratureSpec field.
+    kwargs = dict(spec_kwargs)
+    split_points = kwargs.pop("split_points", ())
     with pytest.raises(DomainError):
-        integrate(lambda x: np.ones_like(x), a, b, QuadratureSpec(**spec_kwargs))
+        integrate(lambda x: np.ones_like(x), a, b, QuadratureSpec(**kwargs),
+                  split_points=split_points)
 
 
 @pytest.mark.parametrize(
