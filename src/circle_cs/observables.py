@@ -6,8 +6,8 @@ With A the normalization constant, rho(phi) = A^2 e^{-wrap(phi-alpha)^2}
 the state's density, and the position observable read as the canonical
 angle in [-pi, pi):
 
-    <Q>   = alpha - A^2 sqrt(pi^3) (erf(pi) - erf(pi - alpha))   (alpha >= 0,
-            odd in alpha, independent of m)
+    <Q>   = sgn(alpha) (|alpha| - A^2 sqrt(pi^3) (erf(pi) - erf(pi - |alpha|)))
+            (odd in alpha, independent of m)
     <P>   = m      (exactly)
     <P^2> = m^2 + 1/2 - A^2 pi e^{-pi^2}
 
@@ -83,17 +83,11 @@ _TWO_PI = 2.0 * math.pi
 
 def expectation_Q(label: StateLabel) -> float:
     """Mean canonical angle; drags behind alpha as the wrap is approached."""
-    alpha = label.alpha
-    if alpha < 0.0:
-        return -_q_closed(-alpha)
-    return _q_closed(alpha)
-
-
-def _q_closed(alpha: float) -> float:
-    a2 = normalization_constant() ** 2
-    return alpha - a2 * math.sqrt(math.pi**3) * (
-        math.erf(math.pi) - math.erf(math.pi - alpha)
+    a = abs(label.alpha)
+    lag = normalization_constant() ** 2 * math.sqrt(math.pi**3) * (
+        math.erf(math.pi) - math.erf(math.pi - a)
     )
+    return math.copysign(1.0, label.alpha) * (a - lag)
 
 
 def expectation_P(label: StateLabel) -> float:

@@ -14,10 +14,10 @@ walks the derivation and lists the sign traps).  Both panels are one
 function, _panel, which takes e^{-u^2/4} Re erf from special._scaled_re_erf,
 the overflow-free helper the window coefficients share, for every u.
 
-General label pairs reduce to the wedge by two exact moves: a rigid
-rotation by -alpha, which multiplies the overlap by e^{i u alpha}, and
-hermitian conjugation when the reduced separation is negative.  Both are
-identities of the closed forms, not approximations.
+General label pairs reduce to alpha = 0 by one exact move, a rigid
+rotation by -alpha, which multiplies the overlap by e^{i u alpha}.  The
+separation d = wrap(beta - alpha) keeps its sign: the panels take |d|/2
+in their erf arguments and Gaussians and d/2 in their phases.
 
 overlap_quadrature() integrates conj(psi_a) psi_b directly with the
 adaptive engine, splitting panels at each envelope kink; it is the
@@ -111,16 +111,17 @@ def overlap_I2(alpha: float, beta: float, dn: int) -> complex:
     return _panel(math.pi - delta, delta, u, s)
 
 
-def _wedge_value(beta: float, u: int) -> complex:
-    """A^2 (I1 + I2) at alpha = 0, where delta = s = beta/2."""
-    h = 0.5 * beta
+def _wedge_value(d: float, u: int) -> complex:
+    """A^2 (I1 + I2) at alpha = 0, for a signed separation d in [-pi, pi)."""
+    h = 0.5 * d
+    g = abs(h)
     return normalization_constant() ** 2 * (
-        _panel(h, math.pi - h, u, h - math.pi) + _panel(math.pi - h, h, u, h)
+        _panel(g, math.pi - g, u, h - math.pi) + _panel(math.pi - g, g, u, h)
     )
 
 
 def overlap(a: StateLabel, b: StateLabel) -> OverlapResult:
-    """<a|b> by the closed forms, reduced to the canonical wedge.
+    """<a|b> by the closed forms, reduced to alpha = 0 by rotation.
 
     Equal labels short-circuit to exactly 1.  Any winding difference
     |n - m| takes the same path.
@@ -128,12 +129,7 @@ def overlap(a: StateLabel, b: StateLabel) -> OverlapResult:
     if a == b:
         return OverlapResult(1.0 + 0.0j, 0.0)
     u = b.m - a.m
-    d = wrap_angle(b.alpha - a.alpha)
-    rotation = cmath.exp(1j * u * a.alpha)
-    if d >= 0.0:
-        val = rotation * _wedge_value(d, u)
-    else:
-        val = rotation * cmath.exp(1j * u * d) * _wedge_value(-d, -u).conjugate()
+    val = cmath.exp(1j * u * a.alpha) * _wedge_value(wrap_angle(b.alpha - a.alpha), u)
     return OverlapResult(val, _ANALYTIC_ERR)
 
 

@@ -14,7 +14,8 @@ row with its own split points, panels, tolerance test and error estimate;
 every round evaluates the new panels of all rows in one call f(x, rows).
 Each row comes out bit for bit as it does alone, each panel is evaluated
 once, and no call takes more than _MAX_PANELS panels: a batch over the cap
-finishes its lowest rows first.  integrate() is a batch of one.
+finishes its lowest rows first.  integrate() is a batch of one.  The
+tolerances are a QuadratureSpec's; _MAX_DEPTH and _MAX_PANELS are fixed.
 
 The node/weight tables were generated from first principles by
 tools/gen_gauss_kronrod.py in 60-digit arithmetic and validated by degree
@@ -63,9 +64,10 @@ _GAUSS_SLICE = slice(1, 14, 2)
 
 del _pos, _wk, _g
 
-# Hard budget on the panel count, independent of max_depth; hitting it
-# raises ToleranceNotMet rather than looping for minutes.  No integrand call
-# of a batch takes more panels than this, either.
+# A panel bisected _MAX_DEPTH times is frozen.  _MAX_PANELS is a hard budget
+# on the panel count; hitting it raises ToleranceNotMet rather than looping
+# for minutes.  No integrand call of a batch takes more panels than this.
+_MAX_DEPTH = 40
 _MAX_PANELS = 16384
 
 # A batch holding more than _MAX_PANELS panels first finishes its lowest
@@ -75,19 +77,16 @@ _SPLIT = 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and panel policy for integrate()."""
+    """Tolerances for integrate(); the panel policy is the engine's own."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_depth: int = 40
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
             raise DomainError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
-        if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
-            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth}")
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
@@ -128,7 +127,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None,
     in rounds: each round sums every panel in interval order and accepts
     the totals if they meet the tolerance.  Otherwise it bisects every
     panel whose |K15 - G7| exceeds its width's share of the tolerance and
-    evaluates all the new panels in one call to f.  A panel at max_depth,
+    evaluates all the new panels in one call to f.  A panel at _MAX_DEPTH,
     or one too narrow to have a midpoint strictly inside it, is frozen: it
     keeps its estimate, and only the tolerance its error leaves is shared
     among the others.  The result is a deterministic function of
@@ -232,7 +231,7 @@ def _refine(f, spec, values, err_ests, row, lo, hi, depth, val, err, fresh):
 
         mid = 0.5 * (lo + hi)
         width = hi - lo
-        live = (depth < spec.max_depth) & (lo < mid) & (mid < hi)
+        live = (depth < _MAX_DEPTH) & (lo < mid) & (mid < hi)
         # Frozen panels keep their error; the live ones share what is left.
         spare = tol - np.add.reduceat(np.where(live, 0.0, err), starts)
         live_width = np.add.reduceat(np.where(live, width, 0.0), starts)

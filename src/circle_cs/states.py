@@ -49,10 +49,9 @@ def wrap_angle(x: float) -> float:
         raise DomainError(f"wrap_angle: non-finite angle {x}")
     if -math.pi <= x < math.pi:
         return x
-    y = math.fmod(x + math.pi, _TWO_PI)
-    if y < 0.0:
-        y += _TWO_PI
-    return y - math.pi
+    y = (x + math.pi) % _TWO_PI - math.pi
+    # Just below -pi the modulo rounds up to 2 pi, which lands y on pi.
+    return y - _TWO_PI if y >= math.pi else y
 
 
 def _wrap_array(x: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def _integrate_period(f, spec: QuadratureSpec | None, label_rows):
     kinks = (
         [wrap_angle(label.alpha - math.pi) for label in labels] for labels in label_rows
     )
-    splits = [[k for k in row if -math.pi < k < math.pi] for row in kinks]
+    splits = [[k for k in row if k > -math.pi] for row in kinks]
     return integrate_rows(f, -math.pi, math.pi, spec, splits)
 
 

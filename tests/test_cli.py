@@ -14,10 +14,13 @@ PI = math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+# The package the in-process tests import, for every subprocess to run too.
+SRC = str(Path(circle_cs.__file__).resolve().parents[1])
+
+
+def run_cli(*args, cwd=None):
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "circle_cs", *args],
         capture_output=True,
@@ -232,7 +235,7 @@ def test_out_file(tmp_path):
     assert target.read_text().startswith("phi,re,im\n")
 
 
-def test_determinism_and_thread_invariance():
+def test_determinism():
     base = run_cli("overlap", "--beta", "0.7", "--dn-max", "4")
     again = run_cli("overlap", "--beta", "0.7", "--dn-max", "4")
     assert base.stdout == again.stdout
@@ -295,10 +298,8 @@ def _readme_cli_commands():
 
 
 def test_readme_cli_commands_run_verbatim(tmp_path):
-    src = str(Path(circle_cs.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     commands = _readme_cli_commands()
     assert commands
     for command in commands:
-        proc = run_cli(*shlex.split(command)[1:], env_extra={"PYTHONPATH": path}, cwd=tmp_path)
+        proc = run_cli(*shlex.split(command)[1:], cwd=tmp_path)
         assert proc.returncode == 0, (command, proc.stderr)

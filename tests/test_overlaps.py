@@ -141,7 +141,8 @@ def test_against_independent_reference():
         (1, -2.0, -2, 2.5),
     ]
     # large winding gaps; at (0, 0) the oracle needs its per-period panels
-    pairs = ((0.0, 0.0), (0.0, 0.4), (0.3, 0.301), (-2.0, 2.5), (1.0, 1.0 + PI))
+    # (0.3, 0.301) and (0.301, 0.3) pin both signs of the separation near 0
+    pairs = ((0.0, 0.0), (0.0, 0.4), (0.3, 0.301), (0.301, 0.3), (-2.0, 2.5), (1.0, 1.0 + PI))
     cases += [(0, a, dn, b) for dn in (17, -25, 64, -300) for a, b in pairs]
     for m, alpha, n, beta in cases:
         ref = overlap_reference(m, alpha, n, beta)
@@ -194,7 +195,7 @@ def test_modulus_depends_on_differences_only():
     assert abs(abs(v1) - abs(v2)) <= 1e-10
 
 
-def test_large_winding_stays_analytic():
+def test_large_winding_values():
     res = overlap(StateLabel(0, 0.0), StateLabel(17, 0.4))
     # seam kinks make the tail algebraic (~1/dn^2), not Gaussian-small;
     # references computed at 40-digit precision with per-period panels

@@ -140,25 +140,26 @@ def test_relative_tolerance_mode():
         assert err <= 1e-10 * abs(value), (a, b)
 
 
-def test_tolerance_not_met_carries_estimate():
+def test_tolerance_not_met_carries_estimate(monkeypatch):
     # Inverse-square-root edge singularity: the open rule never samples the
     # endpoint, but panel errors shrink too slowly for 1e-12.
-    spec = QuadratureSpec(max_depth=12)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 12)
 
     def f(x):
         return 1.0 / np.sqrt(np.abs(x))
 
     with pytest.raises(ToleranceNotMet) as info:
-        integrate(f, 0.0, 1.0, spec)
+        integrate(f, 0.0, 1.0)
     exc = info.value
     assert abs(exc.value - 2.0) <= 1e-2
     assert exc.err_est > 1e-12
 
 
-def test_frozen_panel_leaves_its_tolerance_to_the_rest():
+def test_frozen_panel_leaves_its_tolerance_to_the_rest(monkeypatch):
     # The panel at the singularity freezes at depth 10 holding most of the
     # 2.4e-3 budget; the other panels must refine into what it leaves.
-    spec = QuadratureSpec(abs_tol=2.4e-3, rel_tol=0.0, max_depth=10)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 10)
+    spec = QuadratureSpec(abs_tol=2.4e-3, rel_tol=0.0)
     value, err = integrate(lambda x: 1 / np.sqrt(x) + np.cos(30 * x), 0.0, 1.0, spec)
     assert err <= 2.4e-3
     assert abs(value - (2.0 + math.sin(30.0) / 30.0)) <= err
@@ -316,24 +317,24 @@ def test_failure_names_the_lowest_failing_row(monkeypatch, cap):
     # even rows are smooth.  Together the odd rows outgrow a cap of 40.  The
     # batch fails on row 1, with the value and err_est row 1 has alone.
     monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
-    spec = QuadratureSpec(max_depth=12)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 12)
 
     def f(x, rows):
         return np.where(rows % 2 == 1, 1.0 / np.sqrt(x), np.exp(-x * x))
 
     rounds = _count_rounds(monkeypatch)
     with pytest.raises(ToleranceNotMet) as batch:
-        integrate_rows(f, 0.0, 1.0, spec, splits=[()] * 8)
+        integrate_rows(f, 0.0, 1.0, splits=[()] * 8)
     assert max(len(panel_round) for panel_round in rounds) <= cap
     with pytest.raises(ToleranceNotMet) as alone:
-        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec)
+        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert batch.value.row == 1
     assert alone.value.row == 0
     assert (batch.value.value, batch.value.err_est) == (alone.value.value, alone.value.err_est)
 
 
-def test_singularity_at_declared_split_is_never_sampled():
-    spec = QuadratureSpec(max_depth=10)
+def test_singularity_at_declared_split_is_never_sampled(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 10)
 
     def f(x):
         assert not np.any(x == 0.0)
@@ -341,7 +342,7 @@ def test_singularity_at_declared_split_is_never_sampled():
             return 1.0 / np.sqrt(np.abs(x))
 
     with pytest.raises(ToleranceNotMet):
-        integrate(f, -1.0, 1.0, spec, split_points=(0.0,))
+        integrate(f, -1.0, 1.0, split_points=(0.0,))
 
 
 @pytest.mark.parametrize(
@@ -370,8 +371,6 @@ def test_domain_errors(a, b, spec_kwargs):
         {"abs_tol": 0.0},
         {"abs_tol": -1e-9},
         {"rel_tol": -1.0},
-        {"max_depth": 0},
-        {"max_depth": 2.5},
         {"rel_tol": float("nan")},
     ],
 )

@@ -35,7 +35,8 @@ def test_wrap_examples():
 
 def test_wrap_idempotent_bitwise():
     rng = np.random.default_rng(11)
-    values = list(rng.uniform(-50.0, 50.0, size=500)) + [1e6, -1e6, PI, -PI, 0.0]
+    below = math.nextafter(-PI, -math.inf)
+    values = list(rng.uniform(-50.0, 50.0, size=500)) + [1e6, -1e6, PI, -PI, 0.0, below]
     for x in values:
         once = wrap_angle(x)
         assert -PI <= once < PI
@@ -72,6 +73,8 @@ def test_normalization_cached():
 def test_label_canonicalizes():
     assert StateLabel(0, 3 * PI / 2).alpha == wrap_angle(3 * PI / 2)
     assert StateLabel(2, PI).alpha == -PI
+    # one ulp below -pi wraps onto -pi, the same label as pi
+    assert StateLabel(0, math.nextafter(-PI, -math.inf)) == StateLabel(0, PI)
     # adding whole turns is only float-exact up to the rounding of the sum
     assert abs(StateLabel(-1, 0.3 + 2 * PI * 3).alpha - 0.3) <= 1e-14
     with pytest.raises(DomainError):
