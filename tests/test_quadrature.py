@@ -371,6 +371,8 @@ def test_domain_errors(a, b, spec_kwargs):
         {"abs_tol": 0.0},
         {"abs_tol": -1e-9},
         {"rel_tol": -1.0},
+        {"abs_tol": float("inf")},
+        {"abs_tol": float("nan")},
         {"rel_tol": float("nan")},
     ],
 )
