@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceNotMet
 from .quadrature import QuadratureSpec
 from .special import _scaled_re_erf
 from .states import (
@@ -130,10 +130,24 @@ def expectation_Q_quadrature(
 def expectation_Q_quadrature_table(labels, spec: QuadratureSpec | None = None) -> np.ndarray:
     """expectation_Q_quadrature of every label, in one engine run.
 
+    The integrand phi rho depends on alpha alone, so the run integrates one
+    row per distinct alpha (compared as floats, so -0.0 and 0.0 share one),
+    taken from its first label, and every label reads its alpha's value.
     Each value is bit for bit the one of a single-label call.  A label that
-    misses the tolerance raises ToleranceNotMet, whose .row is its index.
+    misses the tolerance raises ToleranceNotMet, whose .row is its index;
+    since rows follow first appearance, that is the lowest failing label.
     """
-    return _density_moment(labels, lambda phi, w, m: phi, spec)
+    slot, heads = {}, []
+    for i, label in enumerate(labels):
+        if label.alpha not in slot:
+            slot[label.alpha] = len(heads)
+            heads.append(i)
+    try:
+        values = _density_moment([labels[i] for i in heads], lambda phi, w, m: phi, spec)
+    except ToleranceNotMet as exc:
+        exc.row = heads[exc.row]
+        raise
+    return values[np.array([slot[label.alpha] for label in labels], dtype=int)]
 
 
 def expectation_P_quadrature(

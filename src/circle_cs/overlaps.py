@@ -21,9 +21,12 @@ in their erf arguments and Gaussians and d/2 in their phases.
 
 overlap_quadrature() integrates conj(psi_a) psi_b directly with the
 adaptive engine, splitting panels at each envelope kink; it is the
-independent route the analytic path is tested against.  Both routes return
-an OverlapResult, a value and its error estimate.  overlap_quadrature_table()
-runs a whole list of pairs through one engine run, row for row the same.
+independent route the analytic path is tested against.  The product is
+written out, A^2 e^{i u phi} e^{-(d_a^2 + d_b^2)/2} with d = wrap(phi -
+alpha) of each state, so each abscissa costs one complex and one real
+exponential.  Both routes return an OverlapResult, a value and its error
+estimate.  overlap_quadrature_table() runs a whole list of pairs through
+one engine run, row for row the same.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from .quadrature import QuadratureSpec
 from .special import _scaled_re_erf
 from .states import (
     StateLabel,
-    _amplitudes,
     _integrate_period,
     _label_arrays,
+    _wrap_array,
     normalization_constant,
     wrap_angle,
 )
@@ -54,7 +57,10 @@ _SQRT_PI = math.sqrt(math.pi)
 # double route here and is good to a few 1e-16 absolute, worst at small x,
 # where the panel's e^{-y^2} <= e^{-pi^2/4} damps it; the assembly is a
 # short product (measured <= 2.3e-16 against 40-digit references, the same
-# as with extended w), so 1e-14 is conservative.
+# as with extended w).  When beta - alpha leaves [-pi, pi), wrap_angle's
+# double arithmetic moves the separation by up to ~7e-16, and such pairs
+# measure up to 5.6e-16 (4.0e-16 at (6, -2.196350087088389) ->
+# (5, 2.7722884364884512)), so 1e-14 is conservative.
 _ANALYTIC_ERR = 1e-14
 
 
@@ -148,17 +154,22 @@ def overlap_quadrature(
 def overlap_quadrature_table(pairs, spec: QuadratureSpec | None = None) -> list:
     """overlap_quadrature of every (a, b) pair, in one engine run.
 
-    Each result is bit for bit the one overlap_quadrature gives alone.  A
-    pair that misses the tolerance raises ToleranceNotMet, whose .row is
-    its index in pairs.
+    The integrand is conj(psi_a) psi_b written out as A^2 e^{i(n - m) phi}
+    e^{-(d_a^2 + d_b^2)/2}, d = wrap(phi - alpha) of each state.  Each
+    result is bit for bit the one overlap_quadrature gives alone.  A pair
+    that misses the tolerance raises ToleranceNotMet, whose .row is its
+    index in pairs.
     """
     m_a, alpha_a = _label_arrays([a for a, _ in pairs])
     m_b, alpha_b = _label_arrays([b for _, b in pairs])
+    u = m_b - m_a
+    a2 = normalization_constant() ** 2
 
     def f(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.conj(_amplitudes(m_a[rows], alpha_a[rows], phi)) * _amplitudes(
-            m_b[rows], alpha_b[rows], phi
-        )
+        d_a = _wrap_array(phi - alpha_a[rows])
+        d_b = _wrap_array(phi - alpha_b[rows])
+        envelope = a2 * np.exp(-0.5 * (d_a * d_a + d_b * d_b))
+        return envelope * np.exp(1j * (u[rows] * phi))
 
     values, errs = _integrate_period(f, spec, pairs)
     return [OverlapResult(v, e) for v, e in zip(values.tolist(), errs.tolist())]

@@ -4,13 +4,14 @@ Every value prints by cell(): a string as it is, an integer (numpy
 integers included) as a bare integer, anything else as a float with 17
 significant digits, which round-trips a double exactly ('0.1' prints as
 0.10000000000000001, '3.0' as 3).  The stdlib json module prints repr
-floats instead, so it is used only to quote strings.
+floats instead, so it is used only to quote strings, through the ASCII
+quoting function that json.dumps itself calls on a str.
 """
 
 from __future__ import annotations
 
-import json
 import numbers
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -21,7 +22,7 @@ def cell(x) -> str:
         return format(x, ".17g")
     if isinstance(x, str):
         return x
-    if isinstance(x, numbers.Integral):
+    if isinstance(x, (int, numbers.Integral)):  # int first skips the slow ABC check
         return str(int(x))
     return format(float(x), ".17g")
 
@@ -34,13 +35,13 @@ def to_csv(rows) -> str:
 def to_json(x) -> str:
     """JSON text of nested dicts, lists, tuples, arrays, strings and numbers.
 
-    Dict keys keep their order; items are separated by ', ' and keys by
-    ': '.  No trailing newline.
+    Dict keys are strings and keep their order; items are separated by ', '
+    and keys by ': '.  No trailing newline.
     """
     if isinstance(x, (list, tuple, np.ndarray)):
         items = x.tolist() if isinstance(x, np.ndarray) else x
         return "[" + ", ".join(map(to_json, items)) + "]"
     if isinstance(x, dict):
-        items = (f"{json.dumps(k)}: {to_json(v)}" for k, v in x.items())
+        items = (f"{_quote(k)}: {to_json(v)}" for k, v in x.items())
         return "{" + ", ".join(items) + "}"
-    return json.dumps(x) if isinstance(x, str) else cell(x)
+    return _quote(x) if isinstance(x, str) else cell(x)

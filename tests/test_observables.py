@@ -10,6 +10,7 @@ from circle_cs import (
     ResolutionReport,
     SampledWaveFunction,
     StateLabel,
+    ToleranceNotMet,
     expectation_P,
     expectation_P2,
     expectation_P2_fourier,
@@ -21,6 +22,7 @@ from circle_cs import (
     integrate,
     momentum_dispersion,
     normalization_constant,
+    observables,
     quadrature,
     resolution_check,
     sample_state,
@@ -136,6 +138,51 @@ def test_moment_table_rows_match_single_rows_bitwise(monkeypatch, cap):
     # the winding-weighted moments gather m per abscissa
     p2 = _density_moment(labels, lambda phi, w, m: m * m + w * w, None)
     assert p2.tolist() == [expectation_P2_quadrature(label) for label in labels]
+
+
+def _record_rows(monkeypatch) -> list:
+    """The label rows every later observables._integrate_period call gets."""
+    rows = []
+    integrate_period = observables._integrate_period
+
+    def recording(f, spec, label_rows):
+        rows.extend(label_rows)
+        return integrate_period(f, spec, label_rows)
+
+    monkeypatch.setattr(observables, "_integrate_period", recording)
+    return rows
+
+
+def test_q_table_integrates_each_alpha_once(monkeypatch):
+    rows = _record_rows(monkeypatch)
+    labels = _moment_table(1204)
+    expectation_Q_quadrature_table(labels)
+    # one row per distinct alpha, from its first label (m = -3)
+    assert rows == [(label,) for label in labels[:41]]
+
+
+def test_q_table_shares_rows_across_windings_and_signed_zero(monkeypatch):
+    labels = [StateLabel(m, x) for m in (0, 3) for x in (-0.0, 0.0, 1.0)]
+    single = [expectation_Q_quadrature(label) for label in labels]
+    rows = _record_rows(monkeypatch)
+    table = expectation_Q_quadrature_table(labels)
+    assert rows == [(labels[0],), (labels[2],)]
+    assert table.tobytes() == np.array(single).tobytes()
+
+
+def test_q_table_failure_names_the_first_label_of_its_alpha():
+    # alpha = 1 meets 1e-16 relative; the odd integrand of alpha = 0 sums to
+    # rounding noise and cannot.  Its row is the second distinct alpha, and
+    # label 2 is the first to carry it.
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16)
+    labels = [StateLabel(0, 1.0), StateLabel(1, 1.0), StateLabel(0, 0.0), StateLabel(2, 0.0)]
+    with pytest.raises(ToleranceNotMet) as table:
+        expectation_Q_quadrature_table(labels, spec)
+    with pytest.raises(ToleranceNotMet) as single:
+        expectation_Q_quadrature(StateLabel(0, 0.0), spec)
+    assert table.value.row == 2
+    assert (table.value.value, table.value.err_est) == (single.value.value, single.value.err_est)
+    assert str(table.value) == str(single.value)
 
 
 def test_moment_table_meets_the_oracle_tolerances():

@@ -139,6 +139,8 @@ def test_against_independent_reference():
         (0, 0.0, 1, 0.0),
         (2, PI / 8, 5, 3 * PI / 4),
         (1, -2.0, -2, 2.5),
+        # beta - alpha folds through the wrap, whose rounding costs 4.0e-16
+        (6, -2.196350087088389, 5, 2.7722884364884512),
     ]
     # large winding gaps; at (0, 0) the oracle needs its per-period panels
     # (0.3, 0.301) and (0.301, 0.3) pin both signs of the separation near 0

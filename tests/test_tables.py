@@ -12,6 +12,7 @@ def test_cell_format_rules():
     assert cell(np.float64(2.5)) == "2.5"
     assert cell(np.float64(3.0)) == "3"
     assert cell(7) == "7"
+    assert cell(True) == "1"
     assert cell(np.int64(-12)) == "-12"
     assert cell(np.int64(10**17)) == "100000000000000000"
     assert cell("analytic") == "analytic"
@@ -44,3 +45,13 @@ def test_json_document():
     assert list(parsed["a"]) == ["re", "method"]
     assert parsed["a"]["re"] == 0.1
     assert to_json('say "hi"') == '"say \\"hi\\""'
+
+
+def test_json_strings_quote_as_json_dumps():
+    keys = ['say "hi"', "back\\slash", "café", "two\nlines", "tab\tand\x01"]
+    doc = {k: k for k in keys}
+    assert to_json(doc) == "{" + ", ".join(
+        f"{json.dumps(k)}: {json.dumps(k)}" for k in keys
+    ) + "}"
+    assert json.loads(to_json(doc)) == doc
+    assert to_json("café") == '"caf\\u00e9"'
