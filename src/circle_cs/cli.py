@@ -7,11 +7,13 @@ Four subcommands:
   observables  moment table over sweeps of m and alpha
   resolution   truncated resolution-of-unity check on a test vector
 
-Every command writes CSV by default (--format json switches); each handler
-builds its rows or its document and hands them to tables.py, which owns
-the format (floats with 17 significant digits).  Repeated runs with the
-same arguments produce byte-identical output.  A value of --m, --alpha or
---beta may start with a minus sign ('--m -3:3').
+Every command writes CSV by default (--format json switches).  This module
+builds every table and document it prints: each handler takes both of its
+formats from one set of columns and hands the rows or the document to
+tables.py, which owns the text format (floats with 17 significant digits).
+No result type prints itself.  Repeated runs with the same arguments
+produce byte-identical output.  A value of --m, --alpha or --beta may
+start with a minus sign ('--m -3:3').
 
 Exit codes: 0 success, 2 bad arguments or domain validation, 3 adaptive
 integration (overlap, observables) could not reach tolerance, 4 output
@@ -22,6 +24,7 @@ one engine run, and an exit-3 message names the first row that failed.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -89,11 +92,12 @@ def _parse_float_sweep(text: str) -> list:
 
 def _cmd_eval(args) -> str:
     psi = sample_state(StateLabel(args.m, args.alpha), args.grid)
-    if args.format == "csv":
-        return psi.to_csv()
     amps = psi.amplitudes
-    doc = {"n_grid": psi.n_grid, "phi": psi.grid(), "re": amps.real, "im": amps.imag}
-    return to_json(doc) + "\n"
+    columns = {"phi": psi.grid(), "re": amps.real, "im": amps.imag}
+    if args.format == "csv":
+        rows = zip(*(column.tolist() for column in columns.values()))
+        return to_csv([tuple(columns), *rows])
+    return to_json({"n_grid": psi.n_grid, **columns}) + "\n"
 
 
 def _oracle_table(oracle, rows, spec, name):
@@ -179,11 +183,20 @@ def _cmd_observables(args) -> str:
 
 def _cmd_resolution(args) -> str:
     report = resolution_check(named_vector(args.vector, args.grid), args.k_max)
-    if args.format == "json":
-        return report.to_json() + "\n"
     terms, c = report.per_k_terms, report.k_max
-    pairs = [terms[c]] + [terms[c - j] + terms[c + j] for j in range(1, c + 1)]
-    return to_csv([("k", "term", "estimate"), *zip(range(c + 1), pairs, report.cumulative())])
+    estimates = report.cumulative()
+    if args.format == "csv":
+        pairs = [terms[c]] + [terms[c - j] + terms[c + j] for j in range(1, c + 1)]
+        return to_csv([("k", "term", "estimate"), *zip(range(c + 1), pairs, estimates)])
+    # report.estimate and report.defect, without summing the terms again
+    estimate = estimates[-1]
+    return to_json({
+        "k_max": c,
+        "estimate": estimate,
+        "defect": abs(estimate - 2.0 * math.pi),
+        "per_k_terms": terms,
+        "convergence": [{"k": j, "estimate": e} for j, e in enumerate(estimates)],
+    }) + "\n"
 
 
 # ---------------------------------------------------------------------------

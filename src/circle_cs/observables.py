@@ -65,13 +65,11 @@ from .states import (
     SampledWaveFunction,
     StateLabel,
     _integrate_period,
-    _label_arrays,
     _wrap_array,
     fourier_coefficients,
     normalization_constant,
     sample_state,
 )
-from .tables import to_json
 
 _TWO_PI = 2.0 * math.pi
 
@@ -110,7 +108,10 @@ def _density_moment(labels, weight, spec: QuadratureSpec | None) -> np.ndarray:
     """Re int weight(phi, w, m) rho(phi) dphi over one period, per label, in
     one engine run; w = wrap(phi - alpha), and m is the label's winding."""
     a2 = normalization_constant() ** 2
-    m, alpha = _label_arrays(labels)
+    # Windings as floats, exact for |m| <= 2^53: an int64 array cannot hold
+    # m >= 2^63 at all, and its m * m wraps around once |m| passes 2^31.5.
+    m = np.array([label.m for label in labels], dtype=float)
+    alpha = np.array([label.alpha for label in labels])
 
     def f(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
         w = _wrap_array(phi - alpha[rows])
@@ -325,7 +326,7 @@ class ResolutionReport:
         n = len(self.per_k_terms)
         if n % 2 != 1:
             raise DomainError(f"expected an odd number of per-k terms, got {n}")
-        if any(t < 0.0 for t in self.per_k_terms):
+        if any(not t >= 0.0 for t in self.per_k_terms):
             raise DomainError("per-k terms must be nonnegative")
 
     @property
@@ -347,18 +348,6 @@ class ResolutionReport:
         for j in range(1, c + 1):
             out.append(out[-1] + t[c - j] + t[c + j])
         return out
-
-    def to_json(self) -> str:
-        """Deterministic JSON document (fixed key order, 17 digit floats)."""
-        return to_json({
-            "k_max": self.k_max,
-            "estimate": self.estimate,
-            "defect": self.defect,
-            "per_k_terms": self.per_k_terms,
-            "convergence": [
-                {"k": j, "estimate": c} for j, c in enumerate(self.cumulative())
-            ],
-        })
 
 
 _INV_SQRT_TWO_PI = 1.0 / math.sqrt(_TWO_PI)

@@ -44,7 +44,6 @@ from .special import _scaled_re_erf
 from .states import (
     StateLabel,
     _integrate_period,
-    _label_arrays,
     _wrap_array,
     normalization_constant,
     wrap_angle,
@@ -73,7 +72,7 @@ class OverlapResult:
         if not (math.isfinite(self.err_est) and self.err_est >= 0.0):
             raise DomainError(f"err_est must be finite and >= 0, got {self.err_est}")
         object.__setattr__(self, "value", complex(self.value))
-        if abs(self.value) > 1.0 + 1e-9:
+        if not abs(self.value) <= 1.0 + 1e-9:
             raise DomainError(
                 f"overlap modulus {abs(self.value)} exceeds 1 beyond rounding"
             )
@@ -160,9 +159,11 @@ def overlap_quadrature_table(pairs, spec: QuadratureSpec | None = None) -> list:
     that misses the tolerance raises ToleranceNotMet, whose .row is its
     index in pairs.
     """
-    m_a, alpha_a = _label_arrays([a for a, _ in pairs])
-    m_b, alpha_b = _label_arrays([b for _, b in pairs])
-    u = m_b - m_a
+    alpha_a = np.array([a.alpha for a, _ in pairs])
+    alpha_b = np.array([b.alpha for _, b in pairs])
+    # The gap n - m is taken in Python integers, as overlap() takes it, so
+    # it is exact (below 2^53) however large the windings themselves are.
+    u = np.array([b.m - a.m for a, b in pairs], dtype=float)
     a2 = normalization_constant() ** 2
 
     def f(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:

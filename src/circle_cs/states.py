@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate_rows
-from .tables import to_csv
 
 _TWO_PI = 2.0 * math.pi
 
@@ -101,14 +100,6 @@ def _amplitudes(m, alpha, phi: np.ndarray) -> np.ndarray:
     return normalization_constant() * np.exp(1j * m * phi) * np.exp(-0.5 * d * d)
 
 
-def _label_arrays(labels) -> tuple:
-    """(m, alpha) of a sequence of labels, as an int and a float array."""
-    return (
-        np.array([label.m for label in labels], dtype=int),
-        np.array([label.alpha for label in labels], dtype=float),
-    )
-
-
 def _integrate_period(f, spec: QuadratureSpec | None, label_rows):
     """integrate_rows(f, -pi, pi, spec), one row per tuple of labels, each
     row split at its labels' envelope kinks, wrap(alpha - pi), unless one
@@ -152,12 +143,6 @@ class SampledWaveFunction:
 
     def norm_squared(self) -> float:
         return _TWO_PI / self.n_grid * float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def to_csv(self) -> str:
-        """Rows phi,re,im at 17 significant digits, as text."""
-        amps = self.amplitudes
-        columns = (self.grid().tolist(), amps.real.tolist(), amps.imag.tolist())
-        return to_csv([("phi", "re", "im"), *zip(*columns)])
 
 
 def sample_state(label: StateLabel, n_grid: int) -> SampledWaveFunction:

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import circle_cs
+from circle_cs import StateLabel, resolution_check, sample_state
+from circle_cs.cli import main
+from circle_cs.states import named_vector
 
 PI = math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,6 +44,19 @@ def test_eval_csv_shape():
     assert abs(float(first[0]) + PI) <= 1e-15
     # the vacuum is real on the whole grid
     assert all(line.split(",")[2] == "0" for line in lines[1:])
+
+
+def test_eval_csv_roundtrip(capsys):
+    assert main(["eval", "--m", "1", "--alpha", "0.4", "--grid", "16"]) == 0
+    psi = sample_state(StateLabel(1, 0.4), 16)
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "phi,re,im"
+    assert len(lines) == 17
+    for line, p, z in zip(lines[1:], psi.grid(), psi.amplitudes):
+        sp, sr, si = line.split(",")
+        assert abs(float(sp) - p) <= 1e-16
+        assert abs(float(sr) - z.real) <= 1e-16
+        assert abs(float(si) - z.imag) <= 1e-16
 
 
 def test_eval_winding_preserves_modulus():
@@ -120,6 +136,16 @@ def test_overlap_json():
         assert row["abs_diff"] <= 1e-9
 
 
+def test_observables_windings_past_int64():
+    proc = run_cli("observables", "--m", "9223372036854775808,0", "--alpha", "0.5")
+    assert proc.returncode == 0, proc.stderr
+    header, rows = _csv_table(proc.stdout)
+    assert [r[0] for r in rows] == ["9223372036854775808", "0"]
+    q, q_oracle = header.index("q_mean"), header.index("q_mean_oracle")
+    assert rows[0][q] == rows[1][q]
+    assert rows[0][q_oracle] == rows[1][q_oracle]
+
+
 def test_observables_sweep():
     proc = run_cli(
         "observables", "--m", "0:3", "--alpha", f"0:{PI}:5"
@@ -135,6 +161,21 @@ def test_observables_sweep():
         assert abs(float(f[2]) - float(f[3])) <= 1e-10  # closed vs oracle
         assert abs(float(f[5]) - (m * m + 0.49990832222568661)) <= 1e-14
         assert abs(float(f[7]) - (float(f[2]) - float(f[1]))) <= 1e-15
+
+
+def test_resolution_json_round_trips(capsys):
+    assert main(["resolution", "--k-max", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    report = resolution_check(named_vector("vacuum", 4096), 3)
+    assert doc["k_max"] == 3
+    assert report.k_max == len(report.per_k_terms) // 2 == 3
+    assert report.estimate == report.cumulative()[-1]
+    assert doc["estimate"] == report.estimate
+    assert doc["defect"] == report.defect
+    assert doc["per_k_terms"] == list(report.per_k_terms)
+    assert len(doc["convergence"]) == 4
+    # the estimate is the last center-outward cumulative sum, bit for bit
+    assert doc["convergence"][-1]["estimate"] == report.estimate
 
 
 def test_resolution_json_document():
@@ -303,3 +344,10 @@ def test_readme_cli_commands_run_verbatim(tmp_path):
     for command in commands:
         proc = run_cli(*shlex.split(command)[1:], cwd=tmp_path)
         assert proc.returncode == 0, (command, proc.stderr)
+
+
+def test_readme_library_quickstart_runs_verbatim(capsys):
+    block = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    block = block.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 4

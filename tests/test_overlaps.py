@@ -100,6 +100,7 @@ def test_panel_conjugation_in_dn():
         (0.5, 0.4, 0),
         (0.0, PI + 0.01, 0),
         (0.0, 1.0, 0.5),
+        (math.nan, 1.0, 0),
     ],
 )
 def test_panel_domain(alpha, beta, dn):
@@ -234,11 +235,20 @@ def test_quadrature_accepts_spec():
     assert abs(res.value - ref) <= 1e-8
 
 
+def test_quadrature_winding_gap_exact_at_huge_windings():
+    # past 2^53 the windings themselves are not floats; their gap still is
+    for m in (2**60, 2**63, -(2**64)):
+        a, b = StateLabel(m, 0.3), StateLabel(m + 1, 1.0)
+        assert abs(overlap_quadrature(a, b).value - overlap(a, b).value) <= 1e-11
+
+
 def test_result_invariant_enforced():
     with pytest.raises(DomainError):
         OverlapResult(1.1 + 0j, 0.0)
     with pytest.raises(DomainError):
         OverlapResult(0.5 + 0j, -1.0)
+    with pytest.raises(DomainError):
+        OverlapResult(complex("nan"), 0.0)
 
 
 def test_table_csv_schema():

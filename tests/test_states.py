@@ -15,6 +15,7 @@ from circle_cs import (
     shift_transform,
     wrap_angle,
 )
+from circle_cs.states import named_vector
 
 PI = math.pi
 
@@ -189,24 +190,17 @@ def test_sample_validation():
         SampledWaveFunction(4, np.zeros(5, dtype=complex))
     with pytest.raises(DomainError):
         SampledWaveFunction(4, np.array([1.0, 2.0, np.inf, 0.0]))
+    with pytest.raises(DomainError):
+        SampledWaveFunction(1, np.zeros(1, dtype=complex))
+    # plane_wave_<k> needs |k| <= n_grid / 4
+    with pytest.raises(DomainError):
+        named_vector("plane_wave_5", 16)
 
 
 def test_amplitudes_read_only():
     psi = sample_state(StateLabel(0, 0.0), 32)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0
-
-
-def test_csv_roundtrip():
-    psi = sample_state(StateLabel(1, 0.4), 16)
-    lines = psi.to_csv().strip().split("\n")
-    assert lines[0] == "phi,re,im"
-    assert len(lines) == 17
-    for line, p, z in zip(lines[1:], psi.grid(), psi.amplitudes):
-        sp, sr, si = line.split(",")
-        assert abs(float(sp) - p) <= 1e-16
-        assert abs(float(sr) - z.real) <= 1e-16
-        assert abs(float(si) - z.imag) <= 1e-16
 
 
 def test_fourier_plane_wave():
@@ -257,6 +251,8 @@ def test_phase_transform_pointwise():
     shifted = phase_transform(psi, 2)
     ref = psi.amplitudes * np.exp(2j * psi.grid())
     assert np.max(np.abs(shifted.amplitudes - ref)) == 0.0
+    with pytest.raises(DomainError):
+        phase_transform(psi, 1.5)
 
 
 def test_shift_transform_matches_resampling():
