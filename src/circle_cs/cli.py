@@ -11,9 +11,9 @@ Every command writes CSV by default (--format json switches).  This module
 builds every table and document it prints: each handler takes both of its
 formats from one set of columns and hands the rows or the document to
 tables.py, which owns the text format (floats with 17 significant digits).
-No result type prints itself.  Repeated runs with the same arguments
-produce byte-identical output.  A value of --m, --alpha or --beta may
-start with a minus sign ('--m -3:3').
+No result type prints itself.  Output is byte-identical for identical
+arguments on one machine and numpy SIMD dispatch level.  A value of --m,
+--alpha or --beta may start with a minus sign ('--m -3:3').
 
 Exit codes: 0 success, 2 bad arguments or domain validation, 3 adaptive
 integration (overlap, observables) could not reach tolerance, 4 output

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +63,7 @@ from .special import _scaled_re_erf
 from .states import (
     SampledWaveFunction,
     StateLabel,
+    _integer,
     _integrate_period,
     _wrap_array,
     fourier_coefficients,
@@ -269,11 +269,7 @@ def expectation_P2_fourier(
     Below _KINK_MARGIN = 8 DomainError is raised.  n_grid >= 4 n_max as
     for fourier_coefficients.
     """
-    if not isinstance(n_max, numbers.Integral) or n_max - abs(label.m) < _KINK_MARGIN:
-        raise DomainError(
-            f"n_max must be an integer >= |m| + {_KINK_MARGIN}, "
-            f"got {n_max!r} for m = {label.m}"
-        )
+    n_max = _integer("n_max", n_max, abs(label.m) + _KINK_MARGIN)
     psi = sample_state(label, n_grid)
     c = _kink_expansion()
     amp = normalization_constant()
@@ -378,8 +374,7 @@ def resolution_check(eta: SampledWaveFunction, k_max: int) -> ResolutionReport:
     The estimate approaches 2 pi from below as k_max grows, since dropped
     terms are nonnegative.
     """
-    if not isinstance(k_max, numbers.Integral) or k_max < 0:
-        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    k_max = _integer("k_max", k_max, 0)
     nsq = eta.norm_squared()
     if abs(nsq - 1.0) > 1e-9:
         raise DomainError(
@@ -392,13 +387,12 @@ def resolution_check(eta: SampledWaveFunction, k_max: int) -> ResolutionReport:
     forward = np.fft.fft(eta.amplitudes) / n
     power = np.abs(forward[q % n]) ** 2
 
-    p_max = k_max + max(-q_lo, q_lo + n - 1) + 1
+    p_max = k_max - q_lo
     window_power = _window_coefficients(p_max) ** 2
 
-    # Row k needs |ghat_{k-q}|^2 for q = q_lo .. q_lo + n - 1; since |ghat_p|^2
-    # is even in p, that is the contiguous slice starting at q_lo - k + p_max,
-    # so all rows together are one correlation, in O(n + k_max) memory.
-    lo = q_lo - k_max + p_max
-    rows = np.correlate(window_power[lo : lo + 2 * k_max + n], power, "valid")[::-1]
+    # Row k needs |ghat_{k-q}|^2 for q = q_lo .. q_lo + n - 1, which by evenness
+    # are the n entries from index k_max - k on; so all rows together are one
+    # correlation over the first 2 k_max + n entries, in O(n + k_max) memory.
+    rows = np.correlate(window_power[: 2 * k_max + n], power, "valid")[::-1]
     scale = _TWO_PI * (_TWO_PI * normalization_constant()) ** 2
     return ResolutionReport(tuple((scale * rows).tolist()))

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .quadrature import QuadratureSpec
 from .special import _scaled_re_erf
 from .states import (
     StateLabel,
+    _integer,
     _integrate_period,
     _wrap_array,
     normalization_constant,
@@ -86,9 +86,7 @@ def _check_wedge(alpha: float, beta: float, dn) -> tuple:
         raise DomainError(
             f"angles must satisfy 0 <= alpha <= beta <= pi, got ({alpha}, {beta})"
         )
-    if not isinstance(dn, numbers.Integral):
-        raise DomainError(f"dn must be an integer, got {dn!r}")
-    return int(dn), 0.5 * (beta - alpha), 0.5 * (alpha + beta)
+    return _integer("dn", dn), 0.5 * (beta - alpha), 0.5 * (alpha + beta)
 
 
 def _panel(x: float, y: float, u: int, c: float) -> complex:

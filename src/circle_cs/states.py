@@ -53,6 +53,24 @@ def wrap_angle(x: float) -> float:
     return y - _TWO_PI if y >= math.pi else y
 
 
+def _integer(name: str, value, low: int | None = None) -> int:
+    """int(value) for any numbers.Integral (bool included) that is at least
+    low, if low is given, else DomainError: wrap_angle's twin for integers."""
+    if not isinstance(value, (int, numbers.Integral)) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _winding(value) -> int:
+    """_integer for a winding number m, held to |m| < 2^511 so that m^2 and
+    every gap's square (n - m)^2 lie inside the double range."""
+    m = _integer("winding number", value)
+    if m.bit_length() > 511:
+        raise DomainError(f"winding number must satisfy |m| < 2^511, got {m!r}")
+    return m
+
+
 def _wrap_array(x: np.ndarray) -> np.ndarray:
     y = np.mod(np.asarray(x, dtype=float) + math.pi, _TWO_PI) - math.pi
     # np.mod can land on the open endpoint through rounding.
@@ -71,15 +89,13 @@ def normalization_constant() -> float:
 
 @dataclass(frozen=True)
 class StateLabel:
-    """Label (m, alpha) of one coherent state; alpha is canonicalized."""
+    """Label (m, alpha) of one coherent state: |m| < 2^511, alpha canonicalized."""
 
     m: int
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral):
-            raise DomainError(f"winding number must be an integer, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _winding(self.m))
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
 
 
@@ -125,17 +141,14 @@ class SampledWaveFunction:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n_grid, numbers.Integral) or self.n_grid < 2:
-            raise DomainError(f"n_grid must be an integer >= 2, got {self.n_grid!r}")
+        n = _integer("n_grid", self.n_grid, 2)
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (int(self.n_grid),):
-            raise DomainError(
-                f"amplitudes must have shape ({self.n_grid},), got {amps.shape}"
-            )
+        if amps.shape != (n,):
+            raise DomainError(f"amplitudes must have shape ({n},), got {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise DomainError("amplitudes must be finite")
         amps.setflags(write=False)
-        object.__setattr__(self, "n_grid", int(self.n_grid))
+        object.__setattr__(self, "n_grid", n)
         object.__setattr__(self, "amplitudes", amps)
 
     def grid(self) -> np.ndarray:
@@ -147,9 +160,7 @@ class SampledWaveFunction:
 
 def sample_state(label: StateLabel, n_grid: int) -> SampledWaveFunction:
     """Sample the labeled state; n_grid must be at least 16."""
-    if not isinstance(n_grid, numbers.Integral) or n_grid < 16:
-        raise DomainError(f"n_grid must be an integer >= 16, got {n_grid!r}")
-    n_grid = int(n_grid)
+    n_grid = _integer("n_grid", n_grid, 16)
     phi = -math.pi + np.arange(n_grid) * (_TWO_PI / n_grid)
     return SampledWaveFunction(n_grid, _amplitudes(label.m, label.alpha, phi))
 
@@ -201,9 +212,7 @@ def fourier_coefficients(psi: SampledWaveFunction, n_max: int) -> np.ndarray:
     slope kink makes a_n decay like (n - m)^-2, the returned coefficient
     is off by up to about ((n - m)/n_grid)^2 pi^2/3 relative.
     """
-    if not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = _integer("n_max", n_max, 0)
     if psi.n_grid < 4 * n_max:
         raise DomainError(
             f"n_grid = {psi.n_grid} too coarse for n_max = {n_max}"
@@ -217,10 +226,8 @@ def fourier_coefficients(psi: SampledWaveFunction, n_max: int) -> np.ndarray:
 
 def phase_transform(psi: SampledWaveFunction, m: int) -> SampledWaveFunction:
     """Multiply the samples by e^{i m phi_j} (grid winding operator)."""
-    if not isinstance(m, numbers.Integral):
-        raise DomainError(f"winding number must be an integer, got {m!r}")
     return SampledWaveFunction(
-        psi.n_grid, psi.amplitudes * np.exp(1j * int(m) * psi.grid())
+        psi.n_grid, psi.amplitudes * np.exp(1j * _winding(m) * psi.grid())
     )
 
 

@@ -146,6 +146,17 @@ def test_observables_windings_past_int64():
     assert rows[0][q_oracle] == rows[1][q_oracle]
 
 
+def test_windings_past_the_bound_exit_2():
+    # |m| < 2^511; from 2^512 on, m^2 overflowed a double and the CLI crashed
+    for args in (("observables", "--m", str(2**511), "--alpha", "0.5"),
+                 ("eval", "--m", str(-(2**511)))):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: winding number ")
+    proc = run_cli("observables", "--m", str(2**511 - 1), "--alpha", "0.5")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_observables_sweep():
     proc = run_cli(
         "observables", "--m", "0:3", "--alpha", f"0:{PI}:5"

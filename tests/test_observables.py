@@ -244,6 +244,11 @@ def test_p2_fourier_window_margin():
             expectation_P2_fourier(bad, n_max=64)
     with pytest.raises(DomainError):
         expectation_P2_fourier(StateLabel(0, 0.0), n_max=64.0)
+    with pytest.raises(DomainError, match=r"^n_max must be an integer >= 65, got 64$"):
+        expectation_P2_fourier(StateLabel(57, 0.3), n_max=64)
+    assert expectation_P2_fourier(label, n_max=np.int64(64)) == expectation_P2_fourier(
+        label, n_max=64
+    )
     with pytest.raises(DomainError):
         expectation_P2_fourier(StateLabel(0, 0.0), n_max=64, n_grid=128)
 
@@ -373,9 +378,29 @@ def test_resolution_validation():
     eta = sample_state(StateLabel(0, 0.0), 4096)
     with pytest.raises(DomainError):
         resolution_check(eta, -1)
+    with pytest.raises(DomainError):
+        resolution_check(eta, 5.0)
+    assert resolution_check(eta, np.int64(5)) == resolution_check(eta, 5)
     off = SampledWaveFunction(eta.n_grid, eta.amplitudes * 1.01)
     with pytest.raises(DomainError):
         resolution_check(off, 5)
+
+
+def test_resolution_window_slice_bit_exact():
+    # The correlation reads the window table out to p_max = k_max + n // 2.
+    # A table one entry longer, sliced from its offset, gives the same terms
+    # bit for bit; the odd grid uses every entry of the shorter table.
+    n, k_max = 101, 30
+    eta = named_vector("two_peak", n)
+    q_lo = -(n // 2)
+    q = np.arange(q_lo, q_lo + n)
+    power = np.abs((np.fft.fft(eta.amplitudes) / n)[q % n]) ** 2
+    p_max = k_max + max(-q_lo, q_lo + n - 1) + 1
+    lo = q_lo - k_max + p_max
+    window_power = _window_coefficients(p_max) ** 2
+    rows = np.correlate(window_power[lo : lo + 2 * k_max + n], power, "valid")[::-1]
+    scale = TWO_PI * (TWO_PI * normalization_constant()) ** 2
+    assert resolution_check(eta, k_max).per_k_terms == tuple((scale * rows).tolist())
 
 
 def test_report_invariants_enforced():

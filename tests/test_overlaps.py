@@ -67,6 +67,7 @@ def test_I2_examples():
     assert abs(overlap_I2(0.0, 0.0, 0) - math.sqrt(PI) * math.erf(PI)) <= 1e-14
     assert abs(overlap_I2(0.0, 0.0, 0) - 1.7724381183457055) <= 1e-14
     assert abs(overlap_I2(0.0, 0.0, 1) - 1.3804038617166089) <= 1e-13
+    assert overlap_I2(0.0, 0.0, np.int64(1)) == overlap_I2(0.0, 0.0, 1)
     # depends only on beta - alpha up to the winding phase
     shifted = overlap_I2(PI / 4, PI / 4, 0)
     assert abs(shifted - overlap_I2(0.0, 0.0, 0)) <= 1e-14

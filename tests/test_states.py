@@ -82,6 +82,21 @@ def test_label_canonicalizes():
         StateLabel(1.5, 0.0)
     with pytest.raises(DomainError):
         StateLabel(0, float("nan"))
+    m = StateLabel(np.int64(-3), 0.0).m
+    assert m == -3 and type(m) is int
+
+
+def test_winding_bound():
+    # |m| < 2^511 keeps m^2 and every gap's square (n - m)^2 in the double range
+    edge = 2**511 - 1
+    assert StateLabel(edge, 0.0).m == edge
+    psi = sample_state(StateLabel(0, 0.0), 16)
+    assert phase_transform(psi, -edge).n_grid == 16
+    for m in (2**511, -(2**511), 2**1024):
+        with pytest.raises(DomainError, match="winding number"):
+            StateLabel(m, 0.0)
+        with pytest.raises(DomainError, match="winding number"):
+            phase_transform(psi, m)
 
 
 def test_coherent_eval_values():
@@ -187,7 +202,14 @@ def test_sample_validation():
     with pytest.raises(DomainError):
         sample_state(StateLabel(0, 0.0), 8)
     with pytest.raises(DomainError):
+        sample_state(StateLabel(0, 0.0), 16.0)
+    assert sample_state(StateLabel(0, 0.0), np.int32(16)).n_grid == 16
+    with pytest.raises(DomainError):
         SampledWaveFunction(4, np.zeros(5, dtype=complex))
+    with pytest.raises(DomainError):
+        SampledWaveFunction(4.0, np.zeros(4, dtype=complex))
+    n = SampledWaveFunction(np.int64(4), np.zeros(4, dtype=complex)).n_grid
+    assert n == 4 and type(n) is int
     with pytest.raises(DomainError):
         SampledWaveFunction(4, np.array([1.0, 2.0, np.inf, 0.0]))
     with pytest.raises(DomainError):
@@ -239,6 +261,9 @@ def test_fourier_validation():
         fourier_coefficients(psi, -1)
     with pytest.raises(DomainError):
         fourier_coefficients(psi, 17)  # 64 < 4*17
+    with pytest.raises(DomainError):
+        fourier_coefficients(psi, 2.0)
+    assert np.array_equal(fourier_coefficients(psi, np.int64(2)), fourier_coefficients(psi, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +278,7 @@ def test_phase_transform_pointwise():
     assert np.max(np.abs(shifted.amplitudes - ref)) == 0.0
     with pytest.raises(DomainError):
         phase_transform(psi, 1.5)
+    assert np.array_equal(phase_transform(psi, np.int64(2)).amplitudes, shifted.amplitudes)
 
 
 def test_shift_transform_matches_resampling():

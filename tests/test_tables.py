@@ -1,3 +1,4 @@
+import fractions
 import json
 
 import numpy as np
@@ -16,6 +17,8 @@ def test_cell_format_rules():
     assert cell(np.int64(-12)) == "-12"
     assert cell(np.int64(10**17)) == "100000000000000000"
     assert cell("analytic") == "analytic"
+    assert cell(np.float32(0.1)) == "0.10000000149011612"
+    assert cell(fractions.Fraction(1, 3)) == "0.33333333333333331"
 
 
 def test_csv_rows():
