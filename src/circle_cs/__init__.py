@@ -23,8 +23,6 @@ from .observables import (
 from .overlaps import (
     OverlapResult,
     overlap,
-    overlap_I1,
-    overlap_I2,
     overlap_quadrature,
     overlap_quadrature_table,
     overlap_table_csv,
@@ -62,8 +60,6 @@ __all__ = [
     "shift_transform",
     "OverlapResult",
     "overlap",
-    "overlap_I1",
-    "overlap_I2",
     "overlap_quadrature",
     "overlap_quadrature_table",
     "overlap_table_csv",

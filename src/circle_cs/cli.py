@@ -15,10 +15,11 @@ No result type prints itself.  Output is byte-identical for identical
 arguments on one machine and numpy SIMD dispatch level.  A value of --m,
 --alpha or --beta may start with a minus sign ('--m -3:3').
 
-Exit codes: 0 success, 2 bad arguments or domain validation, 3 adaptive
-integration (overlap, observables) could not reach tolerance, 4 output
-could not be written.  Each of those two tables runs its oracle column in
-one engine run, and an exit-3 message names the first row that failed.
+Exit codes: 0 success, 2 bad arguments, domain validation or arguments too
+large for memory, 3 adaptive integration (overlap, observables) could not
+reach tolerance, 4 output could not be written.  Each of those two tables
+runs its oracle column in one engine run, and an exit-3 message names the
+first row that failed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .observables import (
 )
 from .overlaps import overlap, overlap_quadrature_table
 from .quadrature import QuadratureSpec
-from .states import StateLabel, named_vector, sample_state, wrap_angle
+from .states import StateLabel, _integer, named_vector, sample_state, wrap_angle
 from .tables import cell, to_csv, to_json
 
 
@@ -76,6 +77,8 @@ def _parse_float_sweep(text: str) -> list:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise DomainError(f"malformed float range {text!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DomainError(f"float range needs finite start and stop, got {text!r}")
         if count < 1:
             raise DomainError(f"float range needs count >= 1, got {text!r}")
         return [float(v) for v in np.linspace(start, stop, count)]
@@ -119,13 +122,12 @@ _OVERLAP_COLUMNS = (
 
 
 def _cmd_overlap(args) -> str:
-    if args.dn_max < 0:
-        raise DomainError(f"--dn-max must be >= 0, got {args.dn_max}")
+    dn_max = _integer("--dn-max", args.dn_max, 0)
     spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     a = StateLabel(0, args.alpha)
     beta = wrap_angle(args.beta)
 
-    dns = range(-args.dn_max, args.dn_max + 1)
+    dns = range(-dn_max, dn_max + 1)
     pairs = [(a, StateLabel(dn, beta)) for dn in dns]
     quads = _oracle_table(
         overlap_quadrature_table, pairs, spec, lambda i: f"dn={dns[i]}"
@@ -302,6 +304,10 @@ def main(argv=None) -> int:
         text = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: not enough memory for these arguments{detail}", file=sys.stderr)
         return 2
     except ToleranceNotMet as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,11 @@ each panel gives (for labels in the canonical wedge 0 <= alpha <= beta <= pi)
 
 and  <m,alpha | n,beta> = A^2 (I1 + I2).  The A^2 prefactor and every sign
 above were fixed by calibration against direct quadrature (docs/formulas.md
-walks the derivation and lists the sign traps).  Both panels are one
-function, _panel, which takes e^{-u^2/4} Re erf from special._scaled_re_erf,
-the overflow-free helper the window coefficients share, for every u.
+walks the derivation and lists the sign traps).  The wedge panels are that
+derivation, not an entry point: they are evaluated only inside overlap(),
+both by one function, _panel, which takes e^{-u^2/4} Re erf from
+special._scaled_re_erf, the overflow-free helper the window coefficients
+share, for every u.
 
 General label pairs reduce to alpha = 0 by one exact move, a rigid
 rotation by -alpha, which multiplies the overlap by e^{i u alpha}.  The
@@ -42,7 +44,6 @@ from .quadrature import QuadratureSpec
 from .special import _scaled_re_erf
 from .states import (
     StateLabel,
-    _integer,
     _integrate_period,
     _wrap_array,
     normalization_constant,
@@ -78,17 +79,6 @@ class OverlapResult:
             )
 
 
-def _check_wedge(alpha: float, beta: float, dn) -> tuple:
-    """(u, delta, s) of a pair in the canonical wedge, else DomainError."""
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise DomainError(f"non-finite angles ({alpha}, {beta})")
-    if not 0.0 <= alpha <= beta <= math.pi:
-        raise DomainError(
-            f"angles must satisfy 0 <= alpha <= beta <= pi, got ({alpha}, {beta})"
-        )
-    return _integer("dn", dn), 0.5 * (beta - alpha), 0.5 * (alpha + beta)
-
-
 def _panel(x: float, y: float, u: int, c: float) -> complex:
     """sqrt(pi) e^{-y^2} e^{iuc} e^{-u^2/4} Re erf(x + iu/2), the shape of both
     panels; exactly 0 at x = 0, where the erf argument is purely imaginary.
@@ -96,22 +86,6 @@ def _panel(x: float, y: float, u: int, c: float) -> complex:
     gauss = math.exp(-0.25 * u * u)
     scaled = 0.0 if x == 0.0 else _scaled_re_erf(x, 0.5 * u, cmath.exp(-1j * x * u), gauss)
     return _SQRT_PI * math.exp(-y * y) * cmath.exp(1j * u * c) * scaled
-
-
-def overlap_I1(alpha: float, beta: float, dn: int) -> complex:
-    """Panel integral across the seam, for 0 <= alpha <= beta <= pi.
-
-    Vanishes identically when alpha == beta (the panel degenerates to a
-    point: Re erf of a purely imaginary argument is zero).
-    """
-    u, delta, s = _check_wedge(alpha, beta, dn)
-    return _panel(delta, math.pi - delta, u, s - math.pi)
-
-
-def overlap_I2(alpha: float, beta: float, dn: int) -> complex:
-    """Panel integral away from the seam, for 0 <= alpha <= beta <= pi."""
-    u, delta, s = _check_wedge(alpha, beta, dn)
-    return _panel(math.pi - delta, delta, u, s)
 
 
 def _wedge_value(d: float, u: int) -> complex:

@@ -25,7 +25,7 @@ from circle_cs.observables import (
     momentum_dispersion,
     resolution_check,
 )
-from circle_cs.overlaps import overlap, overlap_I1, overlap_I2, overlap_quadrature
+from circle_cs.overlaps import _panel, overlap, overlap_quadrature
 from circle_cs.quadrature import integrate
 from circle_cs.special import erf_complex
 from circle_cs.states import (
@@ -88,7 +88,7 @@ def test_criterion_3_overlap_cross_validation():
     with S the two-panel sum at coincident labels, A^2 S = 1 while A S does
     not, fixing the square as the correct normalization."""
     start = time.perf_counter()
-    s = (overlap_I1(0.0, 0.0, 0) + overlap_I2(0.0, 0.0, 0)).real
+    s = (_panel(0.0, PI, 0, -PI) + _panel(PI, 0.0, 0, 0.0)).real
     a = normalization_constant()
     assert abs(a * a * s - 1.0) <= 1e-12
     assert abs(a * s - 1.0) > 0.3

@@ -21,7 +21,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(circle_cs.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
@@ -31,6 +31,7 @@ def run_cli(*args, cwd=None):
         env=env,
         cwd=cwd,
         timeout=300,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -296,6 +297,16 @@ def test_determinism():
     assert res1.stdout == res2.stdout
 
 
+# The whole stderr of the cases whose message is pinned.
+_NON_FINITE = "error: float range needs finite start and stop, got {!r}\n"
+_EXACT_STDERR = {
+    ("overlap", "--dn-max", "-1"): "error: --dn-max must be an integer >= 0, got -1\n",
+    ("observables", "--alpha", "0:inf:3"): _NON_FINITE.format("0:inf:3"),
+    ("observables", "--alpha=-inf:0:2"): _NON_FINITE.format("-inf:0:2"),
+    ("observables", "--alpha", "0:nan:3"): _NON_FINITE.format("0:nan:3"),
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -310,12 +321,32 @@ def test_determinism():
         ("eval", "--abs-tol", "1e-9"),
         ("resolution", "--rel-tol", "1e-9"),
         ("resolution", "--k-max", "-1"),
+        ("observables", "--alpha", "0:inf:3"),
+        ("observables", "--alpha=-inf:0:2"),
+        ("observables", "--alpha", "0:nan:3"),
     ],
 )
 def test_argument_failures_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
+    if args in _EXACT_STDERR:
+        assert proc.stderr == _EXACT_STDERR[args]
+
+
+def test_arguments_too_large_for_memory_exit_2():
+    resource = pytest.importorskip("resource")
+    limit = 3 << 29  # 1.5 GiB of address space; never run these unbounded
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    for args in (("eval", "--grid", "10000000000"), ("resolution", "--k-max", "1000000000")):
+        proc = run_cli(*args, preexec_fn=cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: not enough memory for these arguments: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_unreachable_tolerance_exit_3():

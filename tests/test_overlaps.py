@@ -10,13 +10,11 @@ from circle_cs import (
     QuadratureSpec,
     StateLabel,
     integrate,
-    normalization_constant,
     overlap,
-    overlap_I1,
-    overlap_I2,
     overlap_quadrature,
     overlap_table_csv,
 )
+from circle_cs.overlaps import _panel
 
 from oracles import overlap_reference
 
@@ -56,21 +54,27 @@ def _raw_I2(alpha, beta, dn):
 # ---------------------------------------------------------------------------
 
 
+def _wedge_panels(alpha, beta, dn):
+    """(I1, I2) of docs/formulas.md section 2 for 0 <= alpha <= beta <= pi."""
+    delta, s = 0.5 * (beta - alpha), 0.5 * (alpha + beta)
+    return _panel(delta, PI - delta, dn, s - PI), _panel(PI - delta, delta, dn, s)
+
+
 def test_I1_examples():
-    assert abs(overlap_I1(0.0, PI / 2, 0) - 0.0050444213187695725) <= 1e-16
+    assert abs(_wedge_panels(0.0, PI / 2, 0)[0] - 0.0050444213187695725) <= 1e-16
     # degenerate panel: the seam integral vanishes identically at alpha==beta
     for dn in (*range(-16, 17), -25, 25, -300, 300):
-        assert overlap_I1(0.3, 0.3, dn) == 0.0
+        assert _wedge_panels(0.3, 0.3, dn)[0] == 0.0
 
 
 def test_I2_examples():
-    assert abs(overlap_I2(0.0, 0.0, 0) - math.sqrt(PI) * math.erf(PI)) <= 1e-14
-    assert abs(overlap_I2(0.0, 0.0, 0) - 1.7724381183457055) <= 1e-14
-    assert abs(overlap_I2(0.0, 0.0, 1) - 1.3804038617166089) <= 1e-13
-    assert overlap_I2(0.0, 0.0, np.int64(1)) == overlap_I2(0.0, 0.0, 1)
+    i2 = _wedge_panels(0.0, 0.0, 0)[1]
+    assert abs(i2 - math.sqrt(PI) * math.erf(PI)) <= 1e-14
+    assert abs(i2 - 1.7724381183457055) <= 1e-14
+    assert abs(_wedge_panels(0.0, 0.0, 1)[1] - 1.3804038617166089) <= 1e-13
     # depends only on beta - alpha up to the winding phase
-    shifted = overlap_I2(PI / 4, PI / 4, 0)
-    assert abs(shifted - overlap_I2(0.0, 0.0, 0)) <= 1e-14
+    shifted = _wedge_panels(PI / 4, PI / 4, 0)[1]
+    assert abs(shifted - i2) <= 1e-14
 
 
 def test_panels_match_their_integrals():
@@ -80,35 +84,9 @@ def test_panels_match_their_integrals():
         if beta - alpha < 1e-3:
             beta = min(alpha + 1e-3, PI)
         dn = int(rng.integers(-8, 9))
-        assert abs(overlap_I1(alpha, beta, dn) - _raw_I1(alpha, beta, dn)) <= 1e-10
-        assert abs(overlap_I2(alpha, beta, dn) - _raw_I2(alpha, beta, dn)) <= 1e-10
-
-
-def test_panel_conjugation_in_dn():
-    for dn in (1, 2, 5, 11, 25, 300):
-        a = overlap_I1(0.2, 2.0, dn)
-        b = overlap_I1(0.2, 2.0, -dn)
-        assert abs(a - b.conjugate()) <= 1e-16
-        a = overlap_I2(0.2, 2.0, dn)
-        b = overlap_I2(0.2, 2.0, -dn)
-        assert abs(a - b.conjugate()) <= 1e-15
-
-
-@pytest.mark.parametrize(
-    "alpha,beta,dn",
-    [
-        (-0.1, 1.0, 0),
-        (0.5, 0.4, 0),
-        (0.0, PI + 0.01, 0),
-        (0.0, 1.0, 0.5),
-        (math.nan, 1.0, 0),
-    ],
-)
-def test_panel_domain(alpha, beta, dn):
-    with pytest.raises(DomainError):
-        overlap_I1(alpha, beta, dn)
-    with pytest.raises(DomainError):
-        overlap_I2(alpha, beta, dn)
+        i1, i2 = _wedge_panels(alpha, beta, dn)
+        assert abs(i1 - _raw_I1(alpha, beta, dn)) <= 1e-10
+        assert abs(i2 - _raw_I2(alpha, beta, dn)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +98,6 @@ def test_self_overlap_exact():
     res = overlap(StateLabel(3, 1.2), StateLabel(3, 1.2))
     assert res.value == 1.0 + 0.0j
     assert res.err_est == 0.0
-
-
-def test_direct_wedge_equals_reduced():
-    # In-wedge pairs evaluated two ways: assembled A^2 (I1+I2) directly,
-    # and through overlap()'s rotation reduction; exact identity.
-    a2 = normalization_constant() ** 2
-    rng = np.random.default_rng(2718)
-    for _ in range(20):
-        alpha, beta = np.sort(rng.uniform(0.0, PI, size=2))
-        dn = int(rng.integers(-6, 7))
-        direct = a2 * (overlap_I1(alpha, beta, dn) + overlap_I2(alpha, beta, dn))
-        reduced = overlap(StateLabel(0, alpha), StateLabel(dn, beta)).value
-        assert abs(direct - reduced) <= 1e-12
 
 
 def test_against_independent_reference():
@@ -176,6 +141,21 @@ def test_hermitian_symmetry():
         ab = overlap(a, b).value
         ba = overlap(b, a).value
         assert abs(ab - ba.conjugate()) <= 1e-12
+
+
+def test_winding_negation_conjugates_bitwise():
+    # <-m,alpha|-n,beta> = conj<m,alpha|n,beta>: the panels' Re erf is even
+    # in the gap and every phase is odd in it, exactly in floating point too
+    pairs = [((0, 0.2), (dn, 2.0)) for d in (1, 2, 5, 11, 25, 300) for dn in (d, -d)]
+    rng = np.random.default_rng(4242)
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(-8, 9, size=2))
+        alpha, beta = (float(x) for x in rng.uniform(-PI, PI, size=2))
+        pairs.append(((m, alpha), (n, beta)))
+    for (m, alpha), (n, beta) in pairs:
+        value = overlap(StateLabel(m, alpha), StateLabel(n, beta)).value
+        negated = overlap(StateLabel(-m, alpha), StateLabel(-n, beta)).value
+        assert negated == value.conjugate(), (m, alpha, n, beta)
 
 
 def test_rotation_covariance():
