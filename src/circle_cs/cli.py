@@ -8,12 +8,15 @@ Four subcommands:
   resolution   truncated resolution-of-unity check on a test vector
 
 Every command writes CSV by default (--format json switches).  This module
-builds every table and document it prints: each handler takes both of its
-formats from one set of columns and hands the rows or the document to
-tables.py, which owns the text format (floats with 17 significant digits).
-No result type prints itself.  Output is byte-identical for identical
-arguments on one machine and numpy SIMD dispatch level.  A value of --m,
---alpha or --beta may start with a minus sign ('--m -3:3').
+builds every table and document it prints, and tables.py formats them
+(floats with 17 significant digits); no result type prints itself.  eval
+and observables print the same columns in both formats.  overlap's CSV has
+re_, im_ and abs_ columns per route but only the quadrature err_est, where
+its JSON nests each route with its err_est.  resolution's CSV holds the
+report's shells and their running sums, its JSON the whole report.  Output
+is byte-identical for identical arguments on one machine and numpy SIMD
+dispatch level.  A value of --m, --alpha or --beta may start with a minus
+sign ('--m -3:3').
 
 Exit codes: 0 success, 2 bad arguments, domain validation or arguments too
 large for memory, 3 adaptive integration (overlap, observables) could not
@@ -185,18 +188,15 @@ def _cmd_observables(args) -> str:
 
 def _cmd_resolution(args) -> str:
     report = resolution_check(named_vector(args.vector, args.grid), args.k_max)
-    terms, c = report.per_k_terms, report.k_max
     estimates = report.cumulative()
     if args.format == "csv":
-        pairs = [terms[c]] + [terms[c - j] + terms[c + j] for j in range(1, c + 1)]
-        return to_csv([("k", "term", "estimate"), *zip(range(c + 1), pairs, estimates)])
-    # report.estimate and report.defect, without summing the terms again
-    estimate = estimates[-1]
+        rows = zip(range(report.k_max + 1), report.shells(), estimates)
+        return to_csv([("k", "term", "estimate"), *rows])
     return to_json({
-        "k_max": c,
-        "estimate": estimate,
-        "defect": abs(estimate - 2.0 * math.pi),
-        "per_k_terms": terms,
+        "k_max": report.k_max,
+        "estimate": report.estimate,
+        "defect": report.defect,
+        "per_k_terms": report.per_k_terms,
         "convergence": [{"k": j, "estimate": e} for j, e in enumerate(estimates)],
     }) + "\n"
 

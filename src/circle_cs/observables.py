@@ -312,8 +312,8 @@ class ResolutionReport:
     """Outcome of resolution_check: the per-k terms and what they sum to.
 
     per_k_terms holds the individual integrals for k = -k_max .. k_max (an
-    odd count, all nonnegative).  estimate is their sum, the last entry of
-    cumulative(), and defect its distance from 2 pi.
+    odd count, all nonnegative).  cumulative() is the running sum of
+    shells(), estimate its last entry and defect its distance from 2 pi.
     """
 
     per_k_terms: tuple
@@ -337,13 +337,14 @@ class ResolutionReport:
     def defect(self) -> float:
         return abs(self.estimate - _TWO_PI)
 
-    def cumulative(self) -> list:
-        """Partial sums over |k| <= j for j = 0 .. k_max (nondecreasing)."""
+    def shells(self) -> list:
+        """The |k| = j shell for j = 0 .. k_max: t_0, then t_{-j} + t_j."""
         t, c = self.per_k_terms, self.k_max
-        out = [t[c]]
-        for j in range(1, c + 1):
-            out.append(out[-1] + t[c - j] + t[c + j])
-        return out
+        return [t[c]] + [t[c - j] + t[c + j] for j in range(1, c + 1)]
+
+    def cumulative(self) -> list:
+        """Running sums of shells(): partial sums over |k| <= j (nondecreasing)."""
+        return np.cumsum(self.shells()).tolist()
 
 
 _INV_SQRT_TWO_PI = 1.0 / math.sqrt(_TWO_PI)

@@ -11,9 +11,9 @@ the *wrapped* distance, |psi| is continuous everywhere on the circle; the
 envelope has a derivative kink at the point antipodal to alpha, and that is
 the only non-smooth feature.
 
-Angles are plain floats.  wrap_angle() produces the canonical representative
-in [-pi, pi); StateLabel applies it on construction, so two labels that
-describe the same physical state compare equal.
+Angles are floats.  wrap_angle() turns any finite real number into the
+canonical representative in [-pi, pi); StateLabel applies it on
+construction, so two labels that describe the same state compare equal.
 
 coherent_eval (one angle) and sample_state (a grid) evaluate this formula
 through one routine, so they agree bit for bit.  An n-point sampling lives
@@ -38,14 +38,14 @@ _TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(x: float) -> float:
-    """Reduce x modulo 2 pi into [-pi, pi).
+    """Reduce x modulo 2 pi into [-pi, pi); x must be a finite numbers.Real.
 
     Values already in range are returned unchanged, which makes the
     reduction exactly idempotent.  pi maps to -pi.
     """
+    if not ((type(x) is float or isinstance(x, numbers.Real)) and math.isfinite(x)):
+        raise DomainError(f"wrap_angle: angle must be a finite real number, got {x!r}")
     x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"wrap_angle: non-finite angle {x}")
     if -math.pi <= x < math.pi:
         return x
     y = (x + math.pi) % _TWO_PI - math.pi
@@ -235,13 +235,11 @@ def shift_transform(psi: SampledWaveFunction, alpha: float) -> SampledWaveFuncti
     """Rotate the samples by alpha, which must be a grid multiple.
 
     The rotated vector is psi(phi - alpha) realized as an index roll, so
-    alpha must be finite and alpha/h (h the grid step) an integer to 1e-9,
-    else DomainError.
+    alpha must be an angle wrap_angle accepts, and wrap_angle(alpha)/h (h
+    the grid step) an integer to 1e-9, else DomainError.
     """
     h = _TWO_PI / psi.n_grid
-    steps = float(alpha) / h
-    if not math.isfinite(steps):
-        raise DomainError(f"shift {alpha} is not a finite multiple of the grid step")
+    steps = wrap_angle(alpha) / h
     nearest = round(steps)
     if abs(steps - nearest) > 1e-9:
         raise DomainError(

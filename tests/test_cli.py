@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -188,6 +189,22 @@ def test_resolution_json_round_trips(capsys):
     assert len(doc["convergence"]) == 4
     # the estimate is the last center-outward cumulative sum, bit for bit
     assert doc["convergence"][-1]["estimate"] == report.estimate
+
+
+@pytest.mark.parametrize("vector", ["vacuum", "two_peak", "plane_wave_5"])
+def test_resolution_outputs_render_the_report(vector, capsys):
+    # the estimate column is the running sum of the term column, and the
+    # document's estimate and defect are the report's own, bit for bit
+    args = ["resolution", "--vector", vector, "--k-max", "30"]
+    assert main(args) == 0
+    _, rows = _csv_table(capsys.readouterr().out)
+    terms = [float(r[1]) for r in rows]
+    assert [float(r[2]) for r in rows] == list(itertools.accumulate(terms))
+    assert main([*args, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    report = resolution_check(named_vector(vector, 4096), 30)
+    assert (doc["estimate"], doc["defect"]) == (report.estimate, report.defect)
+    assert terms == report.shells()
 
 
 def test_resolution_json_document():

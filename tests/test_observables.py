@@ -403,6 +403,14 @@ def test_resolution_window_slice_bit_exact():
     assert resolution_check(eta, k_max).per_k_terms == tuple((scale * rows).tolist())
 
 
+def test_report_shells_and_running_sums():
+    report = ResolutionReport((0.25, 2.0, 1.0, 0.5, 4.0))
+    assert report.shells() == [1.0, 2.5, 4.25]
+    assert report.cumulative() == [1.0, 3.5, 7.75]
+    assert report.estimate == 7.75
+    assert report.defect == abs(7.75 - TWO_PI)
+
+
 def test_report_invariants_enforced():
     for even in ((), (0.5, 0.5)):
         with pytest.raises(DomainError):

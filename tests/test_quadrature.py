@@ -250,8 +250,15 @@ def test_panel_sums_do_not_depend_on_the_batch():
 
 
 def test_conjugate_rows_conjugate_bitwise():
+    # <b|a> = conj<a|b>; and with a = (0, alpha), <a|-dn,beta> = conj<a|dn,beta>,
+    # so the CLI overlap table's -dn and +dn oracle rows are conjugates too
     pairs = _overlap_pairs(1202)
-    table = overlap_quadrature_table([*pairs, *((b, a) for a, b in pairs)])
+    swapped = [(b, a) for a, b in pairs]
+    for seed in range(1210, 1230):
+        plus = [(a, b) for a, b in _overlap_pairs(seed) if b.m > 0]
+        pairs += plus
+        swapped += [(a, StateLabel(-b.m, b.alpha)) for a, b in plus]
+    table = overlap_quadrature_table([*pairs, *swapped])
     for forward, backward in zip(table, table[len(pairs):]):
         assert backward.value == forward.value.conjugate()
         assert backward.err_est == forward.err_est

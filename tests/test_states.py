@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,10 +45,17 @@ def test_wrap_idempotent_bitwise():
         assert wrap_angle(once) == once
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), "0.5", "x", None, 1j, [1.0]]
+)
 def test_wrap_domain(bad):
-    with pytest.raises(DomainError):
+    # only a finite numbers.Real is an angle; the message names the value
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
         wrap_angle(bad)
+    with pytest.raises(DomainError):
+        StateLabel(0, bad)
+    with pytest.raises(DomainError):
+        coherent_eval(StateLabel(0, 0.0), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def test_shift_transform_matches_resampling():
 
 def test_shift_requires_grid_alignment():
     psi = sample_state(StateLabel(0, 0.0), 256)
-    for alpha in (0.1, math.nan, math.inf, -math.inf):
+    for alpha in (0.1, math.nan, math.inf, -math.inf, "0.39269908169872414", None, 1j):
         with pytest.raises(DomainError):
             shift_transform(psi, alpha)
 
