@@ -20,9 +20,11 @@ sign ('--m -3:3').
 
 Exit codes: 0 success, 2 bad arguments, domain validation or arguments too
 large for memory, 3 adaptive integration (overlap, observables) could not
-reach tolerance, 4 output could not be written.  Each of those two tables
-runs its oracle column in one engine run, and an exit-3 message names the
-first row that failed.
+reach tolerance, 4 output could not be written.  observables runs its
+oracle column in one engine run.  overlap runs half of its column in one
+engine run, the rows dn <= 0, and fills in each row dn > 0 as the exact
+conjugate of row -dn, which the engine would give bit for bit.  An exit-3
+message names the first row that failed.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .observables import (
     momentum_dispersion,
     resolution_check,
 )
-from .overlaps import overlap, overlap_quadrature_table
+from .overlaps import OverlapResult, overlap, overlap_quadrature_table
 from .quadrature import QuadratureSpec
 from .states import StateLabel, _integer, named_vector, sample_state, wrap_angle
 from .tables import cell, to_csv, to_json
@@ -131,11 +133,17 @@ def _cmd_overlap(args) -> str:
     beta = wrap_angle(args.beta)
 
     dns = range(-dn_max, dn_max + 1)
-    pairs = [(a, StateLabel(dn, beta)) for dn in dns]
-    quads = _oracle_table(
-        overlap_quadrature_table, pairs, spec, lambda i: f"dn={dns[i]}"
+    labels = [StateLabel(dn, beta) for dn in dns]
+    # With a at winding 0, <a|-n,beta> = conj <a|n,beta>, and the oracle's
+    # rows keep this bit for bit, err_est included: integrate dn <= 0 and
+    # mirror the rest.  Failing rows come in mirror pairs, so the first
+    # failure in table order lies in the integrated half.
+    half = _oracle_table(
+        overlap_quadrature_table, [(a, b) for b in labels[: dn_max + 1]], spec,
+        lambda i: f"dn={dns[i]}",
     )
-    rows = [(dn, overlap(a, b), quad) for dn, (_, b), quad in zip(dns, pairs, quads)]
+    quads = half + [OverlapResult(q.value.conjugate(), q.err_est) for q in half[-2::-1]]
+    rows = [(dn, overlap(a, b), quad) for dn, b, quad in zip(dns, labels, quads)]
     if args.format == "csv":
         return to_csv([_OVERLAP_COLUMNS, *(
             (a.alpha, beta, dn, ana.value.real, ana.value.imag, abs(ana.value),

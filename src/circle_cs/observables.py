@@ -95,11 +95,17 @@ def expectation_P(label: StateLabel) -> float:
 
 def expectation_P2(label: StateLabel) -> float:
     """Second moment of the winding, m^2 + 1/2 - A^2 pi e^{-pi^2}."""
-    return label.m**2 + momentum_dispersion(label)
+    return label.m**2 + _dispersion()
 
 
 def momentum_dispersion(label: StateLabel) -> float:
     """<P^2> - <P>^2; one constant, 1/2 - A^2 pi e^{-pi^2}, for all labels."""
+    return _dispersion()
+
+
+@functools.cache
+def _dispersion() -> float:
+    """1/2 - A^2 pi e^{-pi^2}, the label-independent winding dispersion; cached."""
     a2 = normalization_constant() ** 2
     return 0.5 - a2 * math.pi * math.exp(-math.pi**2)
 

@@ -43,7 +43,11 @@ def wrap_angle(x: float) -> float:
     Values already in range are returned unchanged, which makes the
     reduction exactly idempotent.  pi maps to -pi.
     """
-    if not ((type(x) is float or isinstance(x, numbers.Real)) and math.isfinite(x)):
+    try:
+        finite = (type(x) is float or isinstance(x, numbers.Real)) and math.isfinite(x)
+    except OverflowError:  # isfinite's float() of a real past the double range
+        finite = False
+    if not finite:
         raise DomainError(f"wrap_angle: angle must be a finite real number, got {x!r}")
     x = float(x)
     if -math.pi <= x < math.pi:

@@ -38,6 +38,8 @@ def to_json(x) -> str:
     Dict keys are strings and keep their order; items are separated by ', '
     and keys by ': '.  No trailing newline.
     """
+    if isinstance(x, float):  # the common case first, as in cell()
+        return cell(x)
     if isinstance(x, (list, tuple, np.ndarray)):
         items = x.tolist() if isinstance(x, np.ndarray) else x
         return "[" + ", ".join(map(to_json, items)) + "]"

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import circle_cs
-from circle_cs import StateLabel, resolution_check, sample_state
+from circle_cs import (
+    QuadratureSpec,
+    StateLabel,
+    ToleranceNotMet,
+    overlap_quadrature_table,
+    resolution_check,
+    sample_state,
+)
 from circle_cs.cli import main
 from circle_cs.states import named_vector
 
@@ -136,6 +143,31 @@ def test_overlap_json():
     assert [row["dn"] for row in doc["rows"]] == [-2, -1, 0, 1, 2]
     for row in doc["rows"]:
         assert row["abs_diff"] <= 1e-9
+
+
+@pytest.mark.parametrize("dn_max", [0, 1, 16])
+def test_overlap_mirror_matches_the_full_oracle_table(dn_max, capsys):
+    # the CLI integrates dn <= 0 and conjugates the rest; every quadrature
+    # number must equal, bit for bit, the oracle run over all 2 dn_max + 1
+    # pairs (the 17-digit text round-trips).  alpha = -pi and beta = 3.14159
+    # lie a wrap apart.
+    a = StateLabel(0, -PI)
+    pairs = [(a, StateLabel(dn, 3.14159)) for dn in range(-dn_max, dn_max + 1)]
+    expected = [
+        (q.value.real, q.value.imag, q.err_est) for q in overlap_quadrature_table(pairs)
+    ]
+    args = ["overlap", "--alpha", str(-PI), "--beta", "3.14159", "--dn-max", str(dn_max)]
+    assert main(args) == 0
+    header, rows = _csv_table(capsys.readouterr().out)
+    columns = [header.index(name) for name in
+               ("re_quadrature", "im_quadrature", "err_est_quadrature")]
+    assert [tuple(float(r[j]) for j in columns) for r in rows] == expected
+    assert main([*args, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [
+        (row["quadrature"]["re"], row["quadrature"]["im"], row["quadrature"]["err_est"])
+        for row in doc["rows"]
+    ] == expected
 
 
 def test_observables_windings_past_int64():
@@ -381,9 +413,16 @@ def test_unreachable_tolerance_exit_3():
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: row m=0, alpha=0: integrate: ")
+    # The CLI integrates only dn <= 0; its message is the one the full
+    # five-row table gives, naming the first failing row.
     proc = run_cli("overlap", "--dn-max", "2", "--abs-tol", "1e-30", "--rel-tol", "1e-30")
     assert proc.returncode == 3
-    assert proc.stderr.startswith("error: row dn=-2: integrate: ")
+    a = StateLabel(0, 0.0)
+    pairs = [(a, StateLabel(dn, 0.0)) for dn in range(-2, 3)]
+    with pytest.raises(ToleranceNotMet) as exc:
+        overlap_quadrature_table(pairs, QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30))
+    assert exc.value.row == 0
+    assert proc.stderr == f"error: row dn=-2: {exc.value}\n"
 
 
 def test_unwritable_output_exit_4(tmp_path):

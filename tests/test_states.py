@@ -46,10 +46,15 @@ def test_wrap_idempotent_bitwise():
 
 
 @pytest.mark.parametrize(
-    "bad", [float("nan"), float("inf"), -float("inf"), "0.5", "x", None, 1j, [1.0]]
+    "bad",
+    [
+        float("nan"), float("inf"), -float("inf"), "0.5", "x", None, 1j, [1.0],
+        pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"),
+    ],
 )
 def test_wrap_domain(bad):
-    # only a finite numbers.Real is an angle; the message names the value
+    # only a finite numbers.Real is an angle, and an integer past the double
+    # range is not finite; the message names the value
     with pytest.raises(DomainError, match=re.escape(repr(bad))):
         wrap_angle(bad)
     with pytest.raises(DomainError):

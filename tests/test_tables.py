@@ -37,14 +37,16 @@ def test_json_document():
         "array": np.array([1.0, 0.25]),
         "counts": np.arange(2),
         "rows": [],
+        "scalars": [np.float64(-2.5), -0.0, True, np.float64(1e-300)],
     }
     text = to_json(doc)
     assert text == (
         '{"z": 1, "a": {"re": 0.10000000000000001, "method": "analytic"}, '
-        '"terms": [3, 0.5], "array": [1, 0.25], "counts": [0, 1], "rows": []}'
+        '"terms": [3, 0.5], "array": [1, 0.25], "counts": [0, 1], "rows": [], '
+        '"scalars": [-2.5, -0, 1, 1e-300]}'
     )
     parsed = json.loads(text)
-    assert list(parsed) == ["z", "a", "terms", "array", "counts", "rows"]
+    assert list(parsed) == ["z", "a", "terms", "array", "counts", "rows", "scalars"]
     assert list(parsed["a"]) == ["re", "method"]
     assert parsed["a"]["re"] == 0.1
     assert to_json('say "hi"') == '"say \\"hi\\""'

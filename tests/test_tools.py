@@ -1,14 +1,17 @@
-"""The generators in tools/ reproduce the constant tables frozen in the package."""
+"""The generators in tools/ reproduce the constant tables frozen in the package,
+and the output comparison tool tells equal trees from different ones."""
 
 import contextlib
 import importlib.util
 import io
 import re
+import shutil
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
+import circle_cs
 from circle_cs import quadrature, special
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -61,3 +64,22 @@ def test_faddeeva_accuracy_map_covers_both_precisions():
     near = dict(re.findall(r"near the origin, (\w+): (\S+) at", out.getvalue()))
     assert float(near["extended"]) <= 1e-16
     assert 1e-15 <= float(near["double"]) <= 1.5e-15
+
+
+def test_compare_outputs_tells_same_from_different(tmp_path):
+    tool = _load("compare_outputs")
+    src = Path(circle_cs.__file__).resolve().parents[1]
+    commands = [
+        "circle-cs overlap --dn-max 1 --format json",
+        "circle-cs overlap --dn-max 2 --abs-tol 1e-30 --rel-tol 1e-30",
+        "circle-cs eval --grid 16 --out x.csv",
+    ]
+    assert tool.compare(src, src, commands) == [(command, []) for command in commands]
+    # a copy that prints 16 digits differs in every printed float, and only there
+    other = tmp_path / "src"
+    shutil.copytree(src / "circle_cs", other / "circle_cs")
+    tables = other / "circle_cs" / "tables.py"
+    tables.write_text(tables.read_text().replace('".17g"', '".16g"'))
+    assert tool.compare(src, other, [commands[0], commands[2]]) == [
+        (commands[0], ["stdout"]), (commands[2], ["files"])
+    ]
